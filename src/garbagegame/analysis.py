@@ -14,7 +14,17 @@ from typing import Iterable
 
 import numpy as np
 
-from .dynamics import GarbageState, Threshold, Trajectory, _check_compatible, as_threshold, effective_edges, step
+from .dynamics import (
+    GarbageState,
+    Threshold,
+    Trajectory,
+    _active,
+    _energy,
+    _ordered_sum,
+    as_threshold,
+    effective_edges,
+    step,
+)
 from .graph import Graph
 
 
@@ -48,21 +58,8 @@ def lyapunov_z(g: Graph, s: GarbageState, eps: "Threshold | float") -> float:
     (the capped form would be infinite; the dropped terms are constant).
     """
     threshold = as_threshold(eps)
-    _check_compatible(g, s)
-    x = s.values.tolist()
-    if threshold.is_infinite:
-        total = 0.0
-        for u, v in g._edges0:
-            d = x[u] - x[v]
-            total += d * d
-        return 2.0 * total
-    e2 = threshold.epsilon * threshold.epsilon
-    total = 0.0
-    for u, v in g._edges0:
-        d = x[u] - x[v]
-        total += min(e2, d * d)
-    non_edge_ordered = g.n * (g.n - 1) - 2 * g.edge_count
-    return 2.0 * total + non_edge_ordered * e2
+    d, _ = _active(g, s, threshold.epsilon)
+    return _energy(g, d, threshold)
 
 
 def decrement_lower_bound(g: Graph, s: GarbageState, eps: "Threshold | float") -> float:
@@ -72,15 +69,9 @@ def decrement_lower_bound(g: Graph, s: GarbageState, eps: "Threshold | float") -
     topo = effective_edges(g, s, threshold)
     if topo.edge_count == 0:
         return 0.0
-    nxt = step(g, s, threshold)
-    x = s.values
-    y = nxt.values
-    m = topo.edge_count
-    total = 0.0
-    for i in range(g.n):
-        d = x[i] - y[i]
-        total += (m - len(topo.neighborhoods[i])) * d * d
-    return 4.0 * total
+    deg = np.array([len(nbrs) for nbrs in topo.neighborhoods])
+    d = s.values - step(g, s, threshold).values
+    return 4.0 * _ordered_sum((topo.edge_count - deg) * d * d)
 
 
 def lyapunov_record(g: Graph, s: GarbageState, eps: "Threshold | float") -> LyapunovRecord:

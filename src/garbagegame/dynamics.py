@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, connected_components, laplacian
 
 
 @dataclass(frozen=True)
@@ -105,34 +106,11 @@ class ActiveTopology:
 
     def laplacian(self) -> np.ndarray:
         """Laplacian of the active graph as a float matrix."""
-        n = self.n
-        L = np.zeros((n, n))
-        for u, v in self.active_edges:
-            L[u - 1, v - 1] = -1.0
-            L[v - 1, u - 1] = -1.0
-            L[u - 1, u - 1] += 1.0
-            L[v - 1, v - 1] += 1.0
-        return L
+        return laplacian(Graph(self.n, self.active_edges)).astype(np.float64)
 
     def components(self) -> list[frozenset[int]]:
         """Connected components of the active graph (isolated vertices included)."""
-        seen = [False] * self.n
-        comps: list[frozenset[int]] = []
-        for start in range(1, self.n + 1):
-            if seen[start - 1]:
-                continue
-            seen[start - 1] = True
-            stack = [start]
-            comp = [start]
-            while stack:
-                u = stack.pop()
-                for v in self.neighborhoods[u - 1]:
-                    if not seen[v - 1]:
-                        seen[v - 1] = True
-                        comp.append(v)
-                        stack.append(v)
-            comps.append(frozenset(comp))
-        return comps
+        return connected_components(self.n, self.active_edges)
 
 
 @dataclass(frozen=True)
@@ -179,23 +157,49 @@ def _check_compatible(g: Graph, s: GarbageState) -> None:
         raise ValueError(f"state has {s.n} entries but graph has {g.n} vertices")
 
 
+def _active(g: Graph, s: GarbageState, threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """Edge differences d = x[eu] - x[ev] in edge order, and the active mask |d| <= threshold."""
+    _check_compatible(g, s)
+    eu, ev = g._ends
+    d = s.values[eu] - s.values[ev]
+    return d, np.abs(d) <= threshold
+
+
+def _exchange(g: Graph, x: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per vertex: the sum of its active neighbors' amounts, accumulated in ascending
+    neighbor id (bincount adds in input order), and its active degree."""
+    src, dst, eid = g._half_edges
+    on = mask[eid]
+    src, dst = src[on], dst[on]
+    return np.bincount(dst, weights=x[src], minlength=g.n), np.bincount(dst, minlength=g.n)
+
+
+def _ordered_sum(terms: np.ndarray) -> float:
+    """Sum from 0.0 sequentially in array order.  numpy's sum is pairwise and
+    Python >= 3.12's builtin sum is compensated; both would change the bits."""
+    return float(np.cumsum(terms)[-1]) if terms.size else 0.0
+
+
+def _energy(g: Graph, d: np.ndarray, threshold: Threshold) -> float:
+    """Lyapunov energy from the edge differences d; see analysis.lyapunov_z."""
+    if threshold.is_infinite:
+        return 2.0 * _ordered_sum(d * d)
+    e2 = threshold.epsilon * threshold.epsilon
+    return 2.0 * _ordered_sum(np.minimum(e2, d * d)) + (g.n * (g.n - 1) - 2 * g.edge_count) * e2
+
+
 def effective_edges(g: Graph, s: GarbageState, eps: "Threshold | float") -> ActiveTopology:
     """Active topology: social edges whose endpoint amounts differ by at most
     the threshold (inclusive comparison)."""
-    threshold = as_threshold(eps).epsilon
-    _check_compatible(g, s)
-    x = s.values
-    active = []
-    table: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v in g.edge_list:
-        if abs(x[u - 1] - x[v - 1]) <= threshold:
-            active.append((u, v))
-            table[u - 1].append(v)
-            table[v - 1].append(u)
+    _, mask = _active(g, s, as_threshold(eps).epsilon)
+    src, dst, eid = g._half_edges
+    on = mask[eid]
+    flat = (src[on] + 1).tolist()  # active neighbors, grouped by vertex, each group ascending
+    stops = np.cumsum(np.bincount(dst[on], minlength=g.n)).tolist()
     return ActiveTopology(
-        active_edges=frozenset(active),
-        neighborhoods=tuple(tuple(nbrs) for nbrs in table),
-        edge_count=len(active),
+        active_edges=frozenset(compress(g.edge_list, mask.tolist())),
+        neighborhoods=tuple(tuple(flat[a:b]) for a, b in zip([0] + stops, stops)),
+        edge_count=int(np.count_nonzero(mask)),
     )
 
 
@@ -206,18 +210,14 @@ def transition_matrix(g: Graph, s: GarbageState, eps: "Threshold | float") -> np
     remainder 1 - |N_i|/|E_t|.  With no active edges the matrix is the
     identity.
     """
-    topo = effective_edges(g, s, eps)
-    n = g.n
-    if topo.edge_count == 0:
-        return np.eye(n)
-    m = topo.edge_count
-    A = np.zeros((n, n))
-    w = 1.0 / m
-    for u, v in topo.active_edges:
-        A[u - 1, v - 1] = w
-        A[v - 1, u - 1] = w
-    for i in range(n):
-        A[i, i] = 1.0 - len(topo.neighborhoods[i]) / m
+    _, mask = _active(g, s, as_threshold(eps).epsilon)
+    m = int(np.count_nonzero(mask))
+    if m == 0:
+        return np.eye(g.n)
+    eu, ev = (ends[mask] for ends in g._ends)
+    A = np.diag(1.0 - np.bincount(np.concatenate((eu, ev)), minlength=g.n) / m)
+    A[eu, ev] = 1.0 / m
+    A[ev, eu] = 1.0 / m
     return A
 
 
@@ -227,36 +227,22 @@ def step(g: Graph, s: GarbageState, eps: "Threshold | float") -> GarbageState:
     Each agent receives 1/|E_t| of every active neighbor's garbage and keeps
     the fraction 1 - |N_i|/|E_t| of its own.  Neighbor contributions
     accumulate in ascending neighbor id so results are reproducible.
-    Runs in O(n + |E_t|).
+    Runs in O(n + |E|): the threshold is tested on every social edge.
     """
-    threshold = as_threshold(eps).epsilon
-    _check_compatible(g, s)
-    x = s.values.tolist()
-    n = g.n
-    recv = [0.0] * n
-    deg = [0] * n
-    m = 0
-    for u, v in g._edges0:  # lexicographic order: per-vertex sums ascend in neighbor id
-        xu = x[u]
-        xv = x[v]
-        if abs(xu - xv) <= threshold:
-            recv[u] += xv
-            recv[v] += xu
-            deg[u] += 1
-            deg[v] += 1
-            m += 1
+    _, mask = _active(g, s, as_threshold(eps).epsilon)
+    x = s.values
+    m = int(np.count_nonzero(mask))
     if m == 0:
-        return GarbageState(s.values, time=s.time + 1)
-    out = [recv[i] / m + (1.0 - deg[i] / m) * x[i] for i in range(n)]
-    return GarbageState(out, time=s.time + 1)
+        return GarbageState(x, time=s.time + 1)
+    recv, deg = _exchange(g, x, mask)
+    return GarbageState(recv / m + (1.0 - deg / m) * x, time=s.time + 1)
 
 
 def _diagnose(g: Graph, s: GarbageState, threshold: Threshold) -> StepDiagnostics:
-    from .analysis import lyapunov_z  # local import, analysis depends on this module
-
+    d, mask = _active(g, s, threshold.epsilon)
     return StepDiagnostics(
-        z=lyapunov_z(g, s, threshold),
-        active_edges=effective_edges(g, s, threshold).edge_count,
+        z=_energy(g, d, threshold),
+        active_edges=int(np.count_nonzero(mask)),
         max_diff=s.max_pairwise_diff(),
     )
 

@@ -1,13 +1,16 @@
 """Undirected simple social graphs: construction, parsing, generation, queries.
 
 Vertices are the integers 1..n.  Edges are unordered pairs stored canonically
-as (min, max) tuples, which fixes the iteration order used by every
-downstream sum.
+as (min, max) tuples.  The numeric kernels read one array form, built once per
+graph: 0-based endpoint arrays ``eu < ev`` in lexicographic edge order, and the
+half-edges ``(src, dst, edge id)`` sorted by ``(dst, src)``.  These orders are
+the summation-order contract: a per-vertex sum over the half-edges ascends in
+neighbor id, and an energy sum runs sequentially in edge order, so every
+result is reproducible to the bit.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -55,17 +58,18 @@ class Graph:
         return tuple(sorted(self.edges))
 
     @cached_property
-    def _edges0(self) -> tuple[tuple[int, int], ...]:
-        """Canonically ordered edges with 0-based endpoints (internal hot path)."""
-        return tuple((u - 1, v - 1) for u, v in self.edge_list)
+    def _ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """0-based endpoint arrays eu < ev, one entry per edge in lexicographic order."""
+        return tuple(np.array(self.edge_list, dtype=np.intp).reshape(-1, 2).T.copy() - 1)
 
     @cached_property
-    def _neighbor_table(self) -> tuple[tuple[int, ...], ...]:
-        table: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edge_list:
-            table[u - 1].append(v)
-            table[v - 1].append(u)
-        return tuple(tuple(sorted(nbrs)) for nbrs in table)
+    def _half_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Half-edges (src, dst, edge id), two per edge, sorted by (dst, src)."""
+        eu, ev = self._ends
+        ids = np.arange(eu.size)
+        src, dst, eid = np.concatenate((eu, ev)), np.concatenate((ev, eu)), np.concatenate((ids, ids))
+        order = np.lexsort((src, dst))
+        return src[order], dst[order], eid[order]
 
     @property
     def edge_count(self) -> int:
@@ -74,14 +78,16 @@ class Graph:
     def neighbors(self, v: int) -> tuple[int, ...]:
         if not (1 <= v <= self.n):
             raise GraphError(f"vertex {v} outside 1..{self.n}")
-        return self._neighbor_table[v - 1]
+        src, dst, _ = self._half_edges
+        lo, hi = np.searchsorted(dst, (v - 1, v))
+        return tuple((src[lo:hi] + 1).tolist())
 
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:
-        return tuple(len(nbrs) for nbrs in self._neighbor_table)
+        return tuple(np.bincount(np.concatenate(self._ends), minlength=self.n).tolist())
 
     @property
     def max_degree(self) -> int:
@@ -183,22 +189,28 @@ def generate_graph(kind: str, order: int, p: float | None = None, seed: int = 0)
     return Graph(order, frozenset(edges))
 
 
+def connected_components(n: int, edges: Iterable[tuple[int, int]]) -> list[frozenset[int]]:
+    """Connected components of the graph on 1..n with the given edges, in order
+    of their smallest vertex; isolated vertices are singletons."""
+    root = list(range(n + 1))  # union by smaller root: a component's root is its smallest vertex
+    for u, v in edges:
+        while root[u] != u:
+            root[u] = u = root[root[u]]  # path halving
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        root[max(u, v)] = min(u, v)
+    members: dict[int, list[int]] = {}
+    for a in range(1, n + 1):
+        r = a
+        while root[r] != r:
+            r = root[r]
+        members.setdefault(r, []).append(a)
+    return [frozenset(vs) for vs in members.values()]
+
+
 def is_connected(g: Graph) -> bool:
     """True iff every vertex pair is joined by a path; a single vertex counts."""
-    if g.n == 1:
-        return True
-    seen = [False] * g.n
-    seen[0] = True
-    queue = deque([1])
-    count = 1
-    while queue:
-        u = queue.popleft()
-        for v in g.neighbors(u):
-            if not seen[v - 1]:
-                seen[v - 1] = True
-                count += 1
-                queue.append(v)
-    return count == g.n
+    return len(connected_components(g.n, g.edge_list)) == 1
 
 
 def is_star(g: Graph) -> bool:
@@ -219,10 +231,8 @@ def is_star(g: Graph) -> bool:
 
 def laplacian(g: Graph) -> np.ndarray:
     """Combinatorial Laplacian L = D - A as an integer matrix (row sums zero)."""
-    L = np.zeros((g.n, g.n), dtype=np.int64)
-    for u, v in g.edge_list:
-        L[u - 1, v - 1] = -1
-        L[v - 1, u - 1] = -1
-        L[u - 1, u - 1] += 1
-        L[v - 1, v - 1] += 1
+    L = np.diag(np.array(g.degrees, dtype=np.int64))
+    eu, ev = g._ends
+    L[eu, ev] = -1
+    L[ev, eu] = -1
     return L

@@ -10,7 +10,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .dynamics import GarbageState, Threshold, as_threshold, effective_edges, step
+from .dynamics import GarbageState, Threshold, _ordered_sum, as_threshold, effective_edges, step
 from .graph import Graph, is_connected, laplacian
 
 ISOPERIMETRIC_MAX_ORDER = 20  # exhaustive subset enumeration, ~10^6 subsets
@@ -62,7 +62,8 @@ def isoperimetric_number(g: Graph) -> float:
     if n > ISOPERIMETRIC_MAX_ORDER:
         raise ValueError(f"subset enumeration budget exceeded: n = {n} > {ISOPERIMETRIC_MAX_ORDER}")
     nbr_mask = [0] * n
-    for u, v in g._edges0:
+    eu, ev = g._ends
+    for u, v in zip(eu.tolist(), ev.tolist()):
         nbr_mask[u] |= 1 << v
         nbr_mask[v] |= 1 << u
     full = (1 << n) - 1
@@ -133,14 +134,12 @@ def nontrivial_displacement_bound(
         raise ValueError("component must be nonempty")
     if comp not in topo.components():
         raise ValueError("given vertex set is not a connected component of the active graph")
-    idx = sorted(comp)
-    vals = s.values[[v - 1 for v in idx]]
+    rows = [v - 1 for v in sorted(comp)]
+    vals = s.values[rows]
     if float(vals.max() - vals.min()) <= delta:
         raise ValueError(f"component amounts lie within delta = {delta}; bound only applies beyond it")
     nxt = step(g, s, threshold)
-    lhs = 0.0
-    for v in idx:
-        d = float(s.values[v - 1] - nxt.values[v - 1])
-        lhs += d * d
+    d = (s.values - nxt.values)[rows]
+    lhs = _ordered_sum(d * d)
     rhs = 2.0 * delta * delta / (len(comp) ** 6 * topo.edge_count**2)
     return DisplacementBound(lhs=lhs, rhs=rhs, ok=lhs > rhs)

@@ -86,6 +86,11 @@ class TestDecrementBound(unittest.TestCase):
         self.assertEqual((rec.z, rec.decrement, rec.bound), (236.0, 27.0, 18.0))
         self.assertGreaterEqual(rec.decrement, rec.bound - 1e-9)
         self.assertGreaterEqual(rec.bound, 0.0)
+        # the record's fields are Python floats whenever an edge is active
+        for g, s in ((P3, GarbageState([0.0, 3.0, 6.0])),
+                     (generate_graph("cycle", 5), GarbageState([0.0, 1.0, 2.0, 3.0, 4.0]))):
+            rec = lyapunov_record(g, s, Threshold(10.0))
+            self.assertEqual([type(v) for v in (rec.z, rec.decrement, rec.bound)], [float] * 3)
 
 
 class TestZMonotonicity(unittest.TestCase):

@@ -1,0 +1,150 @@
+"""Bitwise oracle for the vectorized step and energy kernels.
+
+The reference functions below are the pure-Python loops the kernels
+replaced, kept here verbatim in arithmetic order.  The kernels must agree
+with them bit for bit (``tobytes`` / ``repr`` equality), not merely within a
+tolerance: the CSV and summary bytes depend on every last digit.
+"""
+
+import math
+import unittest
+
+import numpy as np
+
+from garbagegame.analysis import decrement_lower_bound, lyapunov_z
+from garbagegame.cli import random_connected_graph
+from garbagegame.dynamics import GarbageState, Threshold, effective_edges, run, step
+from garbagegame.graph import Graph, generate_graph
+from garbagegame.rng import Xoshiro256StarStar, derive_seed
+
+MAGNITUDES = (1e-6, 1e-3, 1.0, 1e3, 1e12, 1e50, 1e150)
+
+
+def ref_step(g, x, threshold):
+    """Edges in lexicographic order, so each vertex's sum ascends in neighbor id."""
+    x = list(x)
+    recv = [0.0] * g.n
+    deg = [0] * g.n
+    m = 0
+    for u, v in g.edge_list:
+        u, v = u - 1, v - 1
+        if abs(x[u] - x[v]) <= threshold:
+            recv[u] += x[v]
+            recv[v] += x[u]
+            deg[u] += 1
+            deg[v] += 1
+            m += 1
+    if m == 0:
+        return np.array(x)
+    return np.array([recv[i] / m + (1.0 - deg[i] / m) * x[i] for i in range(g.n)])
+
+
+def ref_lyapunov_z(g, x, threshold):
+    """Energy summed sequentially in edge order, starting from 0.0."""
+    x = list(x)
+    total = 0.0
+    if math.isinf(threshold):
+        for u, v in g.edge_list:
+            d = x[u - 1] - x[v - 1]
+            total += d * d
+        return 2.0 * total
+    e2 = threshold * threshold
+    for u, v in g.edge_list:
+        d = x[u - 1] - x[v - 1]
+        total += min(e2, d * d)
+    return 2.0 * total + (g.n * (g.n - 1) - 2 * g.edge_count) * e2
+
+
+def ref_decrement_lower_bound(g, x, threshold):
+    """4 * sum_i (|E_t| - |N_i|) * (x_i - x_i')^2, summed in vertex order."""
+    active = [(u - 1, v - 1) for u, v in g.edge_list if abs(x[u - 1] - x[v - 1]) <= threshold]
+    if not active:
+        return 0.0
+    deg = [0] * g.n
+    for u, v in active:
+        deg[u] += 1
+        deg[v] += 1
+    y = ref_step(g, x, threshold).tolist()
+    total = 0.0
+    for i in range(g.n):
+        d = x[i] - y[i]
+        total += (len(active) - deg[i]) * d * d
+    return 4.0 * total
+
+
+def instances(seed, count):
+    """Seeded (graph, values, threshold) triples across shapes, magnitudes and ties."""
+    rng = Xoshiro256StarStar(seed)
+    for k in range(count):
+        n = 1 + rng.randrange(14)
+        shape = k % 5
+        if shape == 0 and n >= 2:
+            g = random_connected_graph(n, rng)
+        elif shape == 1:
+            g = generate_graph("star", n)
+        elif shape == 2:
+            g = Graph(n)  # no edges
+        elif shape == 3:
+            g = generate_graph("erdos_renyi", n, p=0.3, seed=k)  # may be disconnected
+        else:
+            g = generate_graph("complete", n)
+        scale = MAGNITUDES[rng.randrange(len(MAGNITUDES))]
+        x = [scale * rng.random() for _ in range(n)]
+        if rng.random() < 0.25 and n >= 2:
+            x[rng.randrange(n)] = x[rng.randrange(n)]  # an exactly equal pair
+        pick = rng.randrange(4)
+        if pick == 0 or not g.edge_list:
+            eps = math.inf
+        elif pick == 1:
+            u, v = g.edge_list[rng.randrange(g.edge_count)]
+            eps = abs(x[u - 1] - x[v - 1]) or scale  # a tie |d| == eps on this edge
+        elif pick == 2:
+            eps = (0.1 + rng.random()) * scale
+        else:
+            eps = scale * 1e-9
+        yield g, x, eps
+
+
+class TestKernelMatchesLoops(unittest.TestCase):
+
+    def assert_same_bits(self, got, want, msg):
+        self.assertIs(type(got), float, msg=msg)
+        self.assertEqual(repr(got), repr(want), msg=msg)
+
+    def test_step_energy_and_bound_are_bitwise_equal(self):
+        for k, (g, x, eps) in enumerate(instances(derive_seed(4040, 0), 600)):
+            msg = f"instance {k}: n={g.n} edges={g.edge_count} eps={eps!r}"
+            cur = x
+            for t in range(4):
+                s = GarbageState(cur, time=t)
+                got = step(g, s, Threshold(eps))
+                want = ref_step(g, cur, eps)
+                self.assertEqual(got.values.tobytes(), want.tobytes(), msg=f"{msg} t={t}")
+                self.assert_same_bits(lyapunov_z(g, s, Threshold(eps)), ref_lyapunov_z(g, cur, eps), msg)
+                self.assert_same_bits(
+                    decrement_lower_bound(g, s, Threshold(eps)), ref_decrement_lower_bound(g, cur, eps), msg
+                )
+                cur = want.tolist()
+
+    def test_run_diagnostics_match_loops(self):
+        for k, (g, x, eps) in enumerate(instances(derive_seed(4041, 0), 150)):
+            traj = run(g, GarbageState(x), Threshold(eps), max_steps=6)
+            for state, diag in zip(traj.states, traj.diagnostics):
+                values = state.values.tolist()
+                msg = f"instance {k}, t={state.time}"
+                self.assert_same_bits(diag.z, ref_lyapunov_z(g, values, eps), msg)
+                active = sum(1 for u, v in g.edge_list if abs(values[u - 1] - values[v - 1]) <= eps)
+                self.assertEqual(diag.active_edges, active, msg=msg)
+                self.assertEqual(effective_edges(g, state, Threshold(eps)).edge_count, active, msg=msg)
+
+    def test_tie_is_active(self):
+        g = generate_graph("path", 3)
+        x = [0.1, 0.1 + 0.2, 0.7]
+        eps = abs(x[0] - x[1])  # the float difference, compared inclusively
+        got = step(g, GarbageState(x), Threshold(eps)).values
+        self.assertEqual(got.tobytes(), ref_step(g, x, eps).tobytes())
+        self.assertEqual(effective_edges(g, GarbageState(x), Threshold(eps)).edge_count, 1)
+
+
+if __name__ == "__main__":
+    unittest.main()
