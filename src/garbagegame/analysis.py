@@ -75,10 +75,18 @@ def decrement_lower_bound(g: Graph, s: GarbageState, eps: "Threshold | float") -
 
 
 def lyapunov_record(g: Graph, s: GarbageState, eps: "Threshold | float") -> LyapunovRecord:
-    """Energy, measured decrease, and bound for one step from s."""
-    z = lyapunov_z(g, s, eps)
-    z_next = lyapunov_z(g, step(g, s, eps), eps)
-    return LyapunovRecord(z=z, decrement=z - z_next, bound=decrement_lower_bound(g, s, eps))
+    """Energy, measured decrease, and bound for one step from s.
+
+    The decrease is summed edge by edge, not taken as Z - Z': both energies
+    carry the non-edge constant (n(n-1) - 2|E|) eps^2, whose float64 rounding
+    would otherwise read as a violation of the bound.
+    """
+    threshold = as_threshold(eps)
+    cap = threshold.epsilon * threshold.epsilon  # inf at an infinite threshold: no cap
+    d, _ = _active(g, s, threshold.epsilon)
+    d_next, _ = _active(g, step(g, s, threshold), threshold.epsilon)
+    decrement = 2.0 * _ordered_sum(np.minimum(cap, d * d) - np.minimum(cap, d_next * d_next))
+    return LyapunovRecord(lyapunov_z(g, s, threshold), decrement, decrement_lower_bound(g, s, threshold))
 
 
 def is_trivial(s: GarbageState, vertices: Iterable[int], delta: float) -> bool:
@@ -99,6 +107,36 @@ def is_trivial(s: GarbageState, vertices: Iterable[int], delta: float) -> bool:
 def hull_bounds(s: GarbageState) -> tuple[float, float]:
     """The interval [min, max] spanned by the state; it never grows under a step."""
     return float(s.values.min()), float(s.values.max())
+
+
+def roundoff_slack(scale: float) -> float:
+    """Headroom for checking real-arithmetic identities in float64.
+
+    The step is a convex combination evaluated in floating point, so hull
+    bounds and pairwise spreads can overshoot their true values by a unit
+    in the last place.  Four ulps of the value scale covers the observed
+    worst case with margin while staying far below every stated tolerance.
+    """
+    return 4.0 * math.ulp(max(1.0, abs(scale)))
+
+
+def conservation_violation(g: Graph, a: GarbageState, b: GarbageState) -> str | None:
+    """Why the step a -> b changed the total beyond 1e-12 * n * max(a), or None."""
+    budget = 1e-12 * g.n * float(a.values.max())
+    drift = abs(float(b.values.sum()) - float(a.values.sum()))
+    if drift > budget:
+        return f"conservation drift {drift:.3e} exceeds {budget:.3e} at t={a.time}"
+    return None
+
+
+def hull_violation(a: GarbageState, b: GarbageState) -> str | None:
+    """Why the step a -> b left a's hull by more than the roundoff slack, or None."""
+    lo_a, hi_a = hull_bounds(a)
+    lo_b, hi_b = hull_bounds(b)
+    slack = roundoff_slack(hi_a)
+    if lo_b < lo_a - slack or hi_b > hi_a + slack:
+        return f"hull grew at t={a.time}: [{lo_a},{hi_a}] -> [{lo_b},{hi_b}]"
+    return None
 
 
 def convergence_report(traj: Trajectory, tol: float = 1e-9) -> ConvergenceReport:

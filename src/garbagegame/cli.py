@@ -13,18 +13,19 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from typing import Any, Callable
 
 import numpy as np
 
 from .analysis import (
+    conservation_violation,
     convergence_report,
-    decrement_lower_bound,
     hull_bounds,
+    hull_violation,
     is_trivial,
-    lyapunov_z,
+    lyapunov_record,
+    roundoff_slack,
 )
 from .dynamics import (
     GarbageState,
@@ -35,19 +36,9 @@ from .dynamics import (
     step,
     transition_matrix,
 )
-from .graph import Graph, GraphError, generate_graph, is_connected, is_star, parse_edge_list
+from .graph import Graph, GraphError, generate_graph, is_connected, is_star, parse_edge_list, random_connected_graph
 from .rng import Xoshiro256StarStar, derive_seed
 from .spectral import ISOPERIMETRIC_MAX_ORDER, cheeger_check, nontrivial_displacement_bound
-
-VERIFY_SUITES = (
-    "conservation",
-    "lyapunov",
-    "triviality",
-    "hull",
-    "equivalence",
-    "cheeger",
-    "displacement",
-)
 
 _GENERAL_MAX_ORDER = 200  # dense eigen/step work stays desk-scale
 
@@ -129,7 +120,8 @@ def _load_graph(args: argparse.Namespace) -> Graph:
         raise CliError("exactly one of --graph or --generate is required")
     if args.graph is not None:
         try:
-            text = open(args.graph, encoding="utf-8").read()
+            with open(args.graph, encoding="utf-8") as fh:
+                text = fh.read()
         except OSError as exc:
             raise CliError(f"cannot read graph file: {exc}") from None
         return parse_edge_list(text)
@@ -166,43 +158,7 @@ def _initial_state(args: argparse.Namespace, n: int) -> GarbageState:
 
 
 # ---------------------------------------------------------------------------
-# randomized instances for the verify suites
-
-
-def roundoff_slack(scale: float) -> float:
-    """Headroom for checking real-arithmetic identities in float64.
-
-    The step is a convex combination evaluated in floating point, so hull
-    bounds and pairwise spreads can overshoot their true values by a unit
-    in the last place.  Four ulps of the value scale covers the observed
-    worst case with margin while staying far below every stated tolerance.
-    """
-    return 4.0 * math.ulp(max(1.0, abs(scale)))
-
-
-def random_connected_graph(order: int, rng: Xoshiro256StarStar, extra_edge_prob: float = 0.3) -> Graph:
-    """Random connected graph: a random recursive tree plus independent extra
-    edges with the given probability."""
-    edges = set()
-    for v in range(2, order + 1):
-        parent = 1 + rng.randrange(v - 1)
-        edges.add((parent, v))
-    for u in range(1, order + 1):
-        for v in range(u + 1, order + 1):
-            if rng.random() < extra_edge_prob:
-                edges.add((u, v))
-    return Graph(order, frozenset(edges))
-
-
-def random_connected_nonstar_graph(order: int, rng: Xoshiro256StarStar) -> Graph:
-    """Connected non-star instance; resamples until the star shape is avoided."""
-    if order < 3:
-        raise ValueError("non-star instances need at least 3 vertices")
-    for _ in range(1000):
-        g = random_connected_graph(order, rng)
-        if not is_star(g):
-            return g
-    raise RuntimeError("failed to sample a non-star graph")  # pragma: no cover
+# verify suites on randomized instances
 
 
 def _random_instance(rng: Xoshiro256StarStar, lo: int, hi: int) -> tuple[Graph, GarbageState, Threshold]:
@@ -227,24 +183,16 @@ def _short_run(g: Graph, s: GarbageState, eps: Threshold, steps: int = 25) -> li
 def _suite_conservation(rng, lo, hi) -> list[str]:
     g, s, eps = _random_instance(rng, lo, hi)
     states = _short_run(g, s, eps)
-    out = []
-    for a, b in zip(states, states[1:]):
-        budget = 1e-12 * g.n * float(a.values.max())
-        drift = abs(float(b.values.sum()) - float(a.values.sum()))
-        if drift > budget:
-            out.append(f"conservation drift {drift:.3e} exceeds {budget:.3e} at t={a.time}")
-    return out
+    return [m for a, b in zip(states, states[1:]) if (m := conservation_violation(g, a, b))]
 
 
 def _suite_lyapunov(rng, lo, hi) -> list[str]:
     g, s, eps = _random_instance(rng, lo, hi)
     out = []
     for a in _short_run(g, s, eps):
-        z = lyapunov_z(g, a, eps)
-        z_next = lyapunov_z(g, step(g, a, eps), eps)
-        bound = decrement_lower_bound(g, a, eps)
-        if z - z_next < bound - 1e-9:
-            out.append(f"decrement {z - z_next!r} below bound {bound!r} at t={a.time}")
+        rec = lyapunov_record(g, a, eps)
+        if rec.decrement < rec.bound - 1e-9:
+            out.append(f"decrement {rec.decrement!r} below bound {rec.bound!r} at t={a.time}")
     return out
 
 
@@ -267,14 +215,7 @@ def _suite_triviality(rng, lo, hi) -> list[str]:
 def _suite_hull(rng, lo, hi) -> list[str]:
     g, s, eps = _random_instance(rng, lo, hi)
     states = _short_run(g, s, eps)
-    out = []
-    for a, b in zip(states, states[1:]):
-        lo_a, hi_a = hull_bounds(a)
-        lo_b, hi_b = hull_bounds(b)
-        slack = roundoff_slack(hi_a)
-        if lo_b < lo_a - slack or hi_b > hi_a + slack:
-            out.append(f"hull grew at t={a.time}: [{lo_a},{hi_a}] -> [{lo_b},{hi_b}]")
-    return out
+    return [m for a, b in zip(states, states[1:]) if (m := hull_violation(a, b))]
 
 
 def _suite_equivalence(rng, lo, hi) -> list[str]:
@@ -334,6 +275,7 @@ _SUITE_FUNCS: dict[str, Callable[[Xoshiro256StarStar, int, int], list[str]]] = {
     "cheeger": _suite_cheeger,
     "displacement": _suite_displacement,
 }
+VERIFY_SUITES = tuple(_SUITE_FUNCS)
 
 
 def run_verify(suite: str, trials: int, seed: int, size_lo: int, size_hi: int) -> dict:
@@ -368,21 +310,15 @@ def run_verify(suite: str, trials: int, seed: int, size_lo: int, size_hi: int) -
 
 
 def validate_trajectory(traj: Trajectory) -> None:
-    """Re-check the dynamics invariants on an emitted trajectory; raises on violation."""
+    """Re-check each step on an emitted trajectory: it reproduces bit for bit,
+    conserves the total and stays in the hull; raises on the first violation."""
     g = traj.graph
-    eps = traj.threshold
     for a, b in zip(traj.states, traj.states[1:]):
-        recomputed = step(g, a, eps)
-        if not np.array_equal(recomputed.values, b.values):
+        if not np.array_equal(step(g, a, traj.threshold).values, b.values):
             raise CliError(f"trajectory mismatch: step from t={a.time} does not reproduce t={b.time}")
-        drift = abs(float(b.values.sum()) - float(a.values.sum()))
-        if drift > 1e-12 * g.n * float(a.values.max()):
-            raise CliError(f"conservation violated at t={a.time}: drift {drift:.3e}")
-        lo_a, hi_a = hull_bounds(a)
-        lo_b, hi_b = hull_bounds(b)
-        slack = roundoff_slack(hi_a)
-        if lo_b < lo_a - slack or hi_b > hi_a + slack:
-            raise CliError(f"hull bounds grew at t={a.time}")
+        message = conservation_violation(g, a, b) or hull_violation(a, b)
+        if message:
+            raise CliError(f"invalid trajectory: {message}")
 
 
 # ---------------------------------------------------------------------------

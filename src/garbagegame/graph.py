@@ -189,6 +189,31 @@ def generate_graph(kind: str, order: int, p: float | None = None, seed: int = 0)
     return Graph(order, frozenset(edges))
 
 
+def random_connected_graph(order: int, rng: Xoshiro256StarStar, extra_edge_prob: float = 0.3) -> Graph:
+    """Random connected graph: a random recursive tree plus independent extra
+    edges with the given probability."""
+    edges = set()
+    for v in range(2, order + 1):
+        parent = 1 + rng.randrange(v - 1)
+        edges.add((parent, v))
+    for u in range(1, order + 1):
+        for v in range(u + 1, order + 1):
+            if rng.random() < extra_edge_prob:
+                edges.add((u, v))
+    return Graph(order, frozenset(edges))
+
+
+def random_connected_nonstar_graph(order: int, rng: Xoshiro256StarStar) -> Graph:
+    """Connected non-star instance; resamples until the star shape is avoided."""
+    if order < 3:
+        raise ValueError("non-star instances need at least 3 vertices")
+    for _ in range(1000):
+        g = random_connected_graph(order, rng)
+        if not is_star(g):
+            return g
+    raise RuntimeError("failed to sample a non-star graph")  # pragma: no cover
+
+
 def connected_components(n: int, edges: Iterable[tuple[int, int]]) -> list[frozenset[int]]:
     """Connected components of the graph on 1..n with the given edges, in order
     of their smallest vertex; isolated vertices are singletons."""

@@ -23,10 +23,6 @@ from garbagegame.analysis import (
     hull_bounds,
     is_trivial,
     lyapunov_z,
-)
-from garbagegame.cli import (
-    random_connected_graph,
-    random_connected_nonstar_graph,
     roundoff_slack,
 )
 from garbagegame.dynamics import (
@@ -37,7 +33,12 @@ from garbagegame.dynamics import (
     step,
     transition_matrix,
 )
-from garbagegame.graph import Graph, generate_graph
+from garbagegame.graph import (
+    Graph,
+    generate_graph,
+    random_connected_graph,
+    random_connected_nonstar_graph,
+)
 from garbagegame.rng import Xoshiro256StarStar, derive_seed
 
 SEED = 20260814

@@ -2,14 +2,16 @@ import math
 import unittest
 
 from garbagegame.analysis import (
+    conservation_violation,
     convergence_report,
     decrement_lower_bound,
     hull_bounds,
+    hull_violation,
     is_trivial,
     lyapunov_record,
     lyapunov_z,
+    roundoff_slack,
 )
-from garbagegame.cli import random_connected_graph
 from garbagegame.dynamics import (
     GarbageState,
     Threshold,
@@ -18,7 +20,7 @@ from garbagegame.dynamics import (
     run,
     step,
 )
-from garbagegame.graph import Graph, generate_graph
+from garbagegame.graph import Graph, generate_graph, random_connected_graph
 from garbagegame.rng import Xoshiro256StarStar, derive_seed
 
 P3 = generate_graph("path", 3)
@@ -92,6 +94,17 @@ class TestDecrementBound(unittest.TestCase):
             rec = lyapunov_record(g, s, Threshold(10.0))
             self.assertEqual([type(v) for v in (rec.z, rec.decrement, rec.bound)], [float] * 3)
 
+    def test_no_false_violation_near_consensus(self):
+        # Z and Z' share the non-edge constant (n(n-1) - 2|E|) eps^2 = 2.35e11 here;
+        # Z - Z' read up to 1.3e-5 below the bound on 7 of these 400 steps
+        g = generate_graph("cycle", 50)
+        eps = Threshold(1e4)
+        s = GarbageState([float(i % 7) for i in range(50)])
+        for _ in range(400):
+            rec = lyapunov_record(g, s, eps)
+            self.assertGreaterEqual(rec.decrement, rec.bound - 1e-9, msg=f"t={s.time}")
+            s = step(g, s, eps)
+
 
 class TestZMonotonicity(unittest.TestCase):
 
@@ -154,6 +167,35 @@ class TestHullBounds(unittest.TestCase):
     def test_step_stays_inside(self):
         after = hull_bounds(step(P3, GarbageState([0.0, 3.0, 6.0]), Threshold(10.0)))
         self.assertEqual(after, (1.5, 4.5))
+
+
+class TestStepViolations(unittest.TestCase):
+
+    def test_conservation(self):
+        a = GarbageState([0.0, 1.0, 2.0, 3.0], time=5)
+        self.assertIsNone(conservation_violation(C4, a, step(C4, a, Threshold.infinite())))
+        # budget 1e-12 * n * max(a) = 1.2e-11
+        self.assertIsNone(conservation_violation(C4, a, GarbageState([0.0, 1.0, 2.0, 3.0 + 1e-11])))
+        message = conservation_violation(C4, a, GarbageState([0.0, 1.0, 2.0, 3.0 + 1e-9]))
+        self.assertIn("t=5", message)
+        self.assertIn("conservation drift", message)
+
+    def test_hull(self):
+        a = GarbageState([1.0, 3.0], time=2)
+        self.assertIsNone(hull_violation(a, GarbageState([1.5, 2.5])))
+        message = hull_violation(a, GarbageState([0.5, 3.5]))
+        self.assertIn("t=2", message)
+
+    def test_hull_slack_boundary(self):
+        # the slack is 4 ulps of the top of a's hull: 4 * 2**-51 at 3.0
+        a = GarbageState([1.0, 3.0])
+        slack = roundoff_slack(3.0)
+        self.assertEqual(slack, 2.0 ** -49)
+        for lo, hi in ((1.0 - slack, 3.0), (1.0, 3.0 + slack)):
+            self.assertIsNone(hull_violation(a, GarbageState([lo, hi])))
+        for lo, hi in ((math.nextafter(1.0 - slack, 0.0), 3.0),
+                       (1.0, math.nextafter(3.0 + slack, math.inf))):
+            self.assertIsNotNone(hull_violation(a, GarbageState([lo, hi])))
 
 
 class TestConvergenceReport(unittest.TestCase):

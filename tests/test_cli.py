@@ -4,8 +4,9 @@ import json
 import os
 import tempfile
 import unittest
+import warnings
 
-from garbagegame.cli import main, run_verify, to_json, trajectory_csv
+from garbagegame.cli import CliError, main, run_verify, to_json, trajectory_csv, validate_trajectory
 from garbagegame.dynamics import GarbageState, Threshold, run
 from garbagegame.graph import generate_graph, render_edge_list
 
@@ -98,6 +99,25 @@ class TestSimulate(unittest.TestCase):
             self.assertEqual(code, 0)
             self.assertEqual(json.loads(out)["n"], 7)
 
+    def test_graph_file_is_closed(self):
+        # an unclosed handle only warns (from its finalizer), so record the
+        # ResourceWarning and fail on it
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "g.edges")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(render_edge_list(generate_graph("path", 3)))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", ResourceWarning)
+                code, _, err = run_cli(["simulate", "--graph", path, "--init", "1,2,3",
+                                        "--epsilon", "inf"])
+            self.assertEqual(code, 0, msg=err)
+            leaked = [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)]
+            self.assertEqual(leaked, [])
+            code, _, err = run_cli(["simulate", "--graph", os.path.join(tmp, "missing.edges"),
+                                    "--init", "1,2,3", "--epsilon", "inf"])
+            self.assertEqual(code, 1)
+            self.assertIn("cannot read graph file", err)
+
     def test_init_random_deterministic(self):
         args = ["simulate", "--generate", "erdos_renyi:6:0.5", "--init-random",
                 "uniform:0:10", "--epsilon", "inf", "--seed", "99"]
@@ -138,6 +158,19 @@ class TestSimulate(unittest.TestCase):
             code, _, err = run_cli(["simulate", "--generate", spec,
                                     "--init", "1,2,3,4", "--epsilon", "inf"])
             self.assertEqual(code, 1, msg=spec)
+
+
+class TestValidate(unittest.TestCase):
+
+    def test_tampered_state_names_the_step(self):
+        traj = run(generate_graph("cycle", 6), GarbageState([0.0, 9.0, 1.0, 8.0, 2.0, 7.0]),
+                   Threshold.infinite(), max_steps=10)
+        values = traj.states[4].values.copy()
+        values[[0, 1]] = values[[1, 0]]  # same total, so only the replay can catch it
+        traj.states[4] = GarbageState(values, time=4)
+        with self.assertRaises(CliError) as ctx:
+            validate_trajectory(traj)
+        self.assertIn("step from t=3 does not reproduce t=4", str(ctx.exception))
 
 
 class TestVerify(unittest.TestCase):

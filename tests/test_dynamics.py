@@ -3,7 +3,7 @@ import unittest
 
 import numpy as np
 
-from garbagegame.cli import random_connected_graph, roundoff_slack
+from garbagegame.analysis import roundoff_slack
 from garbagegame.dynamics import (
     GarbageState,
     Threshold,
@@ -13,7 +13,7 @@ from garbagegame.dynamics import (
     step,
     transition_matrix,
 )
-from garbagegame.graph import Graph, generate_graph
+from garbagegame.graph import Graph, generate_graph, random_connected_graph
 from garbagegame.rng import Xoshiro256StarStar, derive_seed
 
 P3 = generate_graph("path", 3)

@@ -12,9 +12,8 @@ import unittest
 import numpy as np
 
 from garbagegame.analysis import decrement_lower_bound, lyapunov_z
-from garbagegame.cli import random_connected_graph
 from garbagegame.dynamics import GarbageState, Threshold, effective_edges, run, step
-from garbagegame.graph import Graph, generate_graph
+from garbagegame.graph import Graph, generate_graph, random_connected_graph
 from garbagegame.rng import Xoshiro256StarStar, derive_seed
 
 MAGNITUDES = (1e-6, 1e-3, 1.0, 1e3, 1e12, 1e50, 1e150)

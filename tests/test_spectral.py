@@ -4,9 +4,8 @@ import unittest
 
 import numpy as np
 
-from garbagegame.cli import random_connected_graph
 from garbagegame.dynamics import GarbageState, Threshold
-from garbagegame.graph import Graph, generate_graph, is_connected, laplacian
+from garbagegame.graph import Graph, generate_graph, is_connected, laplacian, random_connected_graph
 from garbagegame.rng import Xoshiro256StarStar, derive_seed
 from garbagegame.spectral import (
     ISOPERIMETRIC_MAX_ORDER,
