@@ -80,6 +80,14 @@ class GarbageState:
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
+    @classmethod
+    def _retimed(cls, s: "GarbageState", time: int) -> "GarbageState":
+        """The state s at another time, sharing s's validated read-only values."""
+        new = object.__new__(cls)
+        object.__setattr__(new, "values", s.values)
+        object.__setattr__(new, "time", time)
+        return new
+
     @property
     def n(self) -> int:
         return int(self.values.size)
@@ -150,6 +158,13 @@ class Trajectory:
     def values_matrix(self) -> np.ndarray:
         """States stacked as a (steps+1, n) array, row k = time index k."""
         return np.stack([s.values for s in self.states])
+
+
+def _same_bits(a: GarbageState, b: GarbageState) -> bool:
+    """Bitwise equality of two states' amounts: -0.0 and +0.0 differ, unlike
+    under float ==.  step and the per-state diagnostics depend only on these
+    bits, so equal bits give equal successors and equal diagnostics."""
+    return a.values is b.values or a.values.tobytes() == b.values.tobytes()
 
 
 def _check_compatible(g: Graph, s: GarbageState) -> None:
@@ -259,6 +274,12 @@ def run(
     Stops early once the amounts agree within convergence_tol AND every
     social edge is active (the post-threshold regime); oscillation on a
     proper subgraph is never reported as converged.
+
+    Once a new state has the bits of the state 1 or 2 steps back, the rest of
+    the run is that periodic orbit: its states already failed the stop test,
+    so the remaining steps up to max_steps are filled by cycling the last
+    period's states (re-timed, sharing their values) and their diagnostics,
+    without stepping.
     """
     threshold = as_threshold(eps)
     _check_compatible(g, s0)
@@ -274,6 +295,14 @@ def run(
         if d.max_diff <= convergence_tol and d.active_edges == total_edges:
             break
         nxt = step(g, states[-1], threshold)
+        period = next((p for p in (1, 2) if p <= len(states) and _same_bits(states[-p], nxt)), 0)
+        if period:
+            cycle = list(zip(states[-period:], diags[-period:]))
+            for k, t in enumerate(range(states[-1].time + 1, s0.time + max_steps + 1)):
+                s, d = cycle[k % period]
+                states.append(GarbageState._retimed(s, t))
+                diags.append(d)
+            break
         states.append(nxt)
         diags.append(_diagnose(g, nxt, threshold))
     return Trajectory(graph=g, threshold=threshold, states=states, diagnostics=diags)

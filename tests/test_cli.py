@@ -153,6 +153,15 @@ class TestSimulate(unittest.TestCase):
         self.assertEqual(code, 1)
         self.assertIn("3 vertices", err)
 
+    def test_overflowing_step_fails_cleanly(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the energy of s0 is inf
+            code, out, err = run_cli(["simulate", "--generate", "path:3",
+                                      "--init", "1e308,0,1e308", "--epsilon", "inf"])
+        self.assertEqual(code, 1)
+        self.assertEqual(out, "")
+        self.assertIn("error: garbage amounts must be finite", err)
+
     def test_bad_generate_spec(self):
         for spec in ("blob:4", "cycle", "cycle:x", "erdos_renyi:5", "cycle:4:9"):
             code, _, err = run_cli(["simulate", "--generate", spec,
@@ -171,6 +180,15 @@ class TestValidate(unittest.TestCase):
         with self.assertRaises(CliError) as ctx:
             validate_trajectory(traj)
         self.assertIn("step from t=3 does not reproduce t=4", str(ctx.exception))
+
+    def test_tampering_inside_a_periodic_tail_is_caught(self):
+        traj = run(generate_graph("path", 3), GarbageState([0.0, 1.0, 5.0]), Threshold(2.0), max_steps=50)
+        values = traj.states[40].values.copy()
+        values[[0, 1]] = values[[1, 0]]  # the orbit's other state: the right bits at the wrong time
+        traj.states[40] = GarbageState(values, time=40)
+        with self.assertRaises(CliError) as ctx:
+            validate_trajectory(traj)
+        self.assertIn("step from t=39 does not reproduce t=40", str(ctx.exception))
 
 
 class TestVerify(unittest.TestCase):

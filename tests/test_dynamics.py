@@ -212,6 +212,12 @@ class TestStep(unittest.TestCase):
         nxt = step(Graph(1), GarbageState([7.0]), Threshold.infinite())
         self.assertEqual(nxt.values.tolist(), [7.0])
 
+    def test_overflowing_output_is_rejected(self):
+        # finite input, but the centre receives 1e308 + 1e308 = inf: kernel
+        # outputs are validated like any other state
+        with self.assertRaisesRegex(ValueError, "garbage amounts must be finite"):
+            step(P3, GarbageState([1e308, 0.0, 1e308]), Threshold.infinite())
+
     def test_matches_matrix_product(self):
         for k in range(80):
             g, s, eps = random_instance(derive_seed(1004, k))
