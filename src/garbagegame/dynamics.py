@@ -196,11 +196,18 @@ def _ordered_sum(terms: np.ndarray) -> float:
 
 
 def _energy(g: Graph, d: np.ndarray, threshold: Threshold) -> float:
-    """Lyapunov energy from the edge differences d; see analysis.lyapunov_z."""
-    if threshold.is_infinite:
-        return 2.0 * _ordered_sum(d * d)
-    e2 = threshold.epsilon * threshold.epsilon
-    return 2.0 * _ordered_sum(np.minimum(e2, d * d)) + (g.n * (g.n - 1) - 2 * g.edge_count) * e2
+    """Lyapunov energy from the edge differences d; see analysis.lyapunov_z.
+
+    Z saturates: a square or a running sum beyond the float64 range (|d| or ε
+    above ~1.3e154) is inf, and so is Z, without an overflow warning.  A graph
+    with no non-edges adds no ε² term, so an infinite ε² never makes 0·inf = nan.
+    """
+    with np.errstate(over="ignore"):
+        if threshold.is_infinite:
+            return 2.0 * _ordered_sum(d * d)
+        e2 = threshold.epsilon * threshold.epsilon
+        non_edges = g.n * (g.n - 1) - 2 * g.edge_count
+        return 2.0 * _ordered_sum(np.minimum(e2, d * d)) + (non_edges * e2 if non_edges else 0.0)
 
 
 def effective_edges(g: Graph, s: GarbageState, eps: "Threshold | float") -> ActiveTopology:

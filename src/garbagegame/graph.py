@@ -178,15 +178,21 @@ def generate_graph(kind: str, order: int, p: float | None = None, seed: int = 0)
             raise GraphError("erdos_renyi requires an edge probability p")
         if not (0.0 <= p <= 1.0):
             raise GraphError(f"edge probability must be in [0, 1], got {p}")
-        rng = Xoshiro256StarStar(seed)
-        edges = set()
-        for u in range(1, order + 1):
-            for v in range(u + 1, order + 1):
-                if rng.random() < p:
-                    edges.add((u, v))
+        edges = _pairs_below(order, Xoshiro256StarStar(seed), p)
     else:
         raise GraphError(f"unknown graph kind {kind!r}; expected one of {GRAPH_KINDS}")
     return Graph(order, frozenset(edges))
+
+
+def _pairs_below(order: int, rng: Xoshiro256StarStar, p: float) -> list[tuple[int, int]]:
+    """The vertex pairs (u, v), u < v, whose draw is below p: one draw per pair
+    in lexicographic pair order, the next order*(order-1)/2 of the stream."""
+    index = np.flatnonzero(rng.below(order * (order - 1) // 2, p))
+    row_len = np.arange(order - 1, 0, -1)  # pairs (u, .) for u = 1..order-1
+    row_start = np.cumsum(row_len) - row_len
+    u = np.searchsorted(row_start, index, side="right")  # 1-based
+    v = index - row_start[u - 1] + u + 1
+    return list(zip(u.tolist(), v.tolist()))
 
 
 def random_connected_graph(order: int, rng: Xoshiro256StarStar, extra_edge_prob: float = 0.3) -> Graph:
@@ -196,10 +202,7 @@ def random_connected_graph(order: int, rng: Xoshiro256StarStar, extra_edge_prob:
     for v in range(2, order + 1):
         parent = 1 + rng.randrange(v - 1)
         edges.add((parent, v))
-    for u in range(1, order + 1):
-        for v in range(u + 1, order + 1):
-            if rng.random() < extra_edge_prob:
-                edges.add((u, v))
+    edges.update(_pairs_below(order, rng, extra_edge_prob))
     return Graph(order, frozenset(edges))
 
 

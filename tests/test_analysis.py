@@ -60,6 +60,18 @@ class TestLyapunovZ(unittest.TestCase):
         with self.assertRaises(ValueError):
             lyapunov_z(P3, GarbageState([1.0, 2.0]), Threshold(1.0))
 
+    def test_overflow_saturates_to_inf(self):
+        # |d| = 1e200 squares past the float64 range; Z is inf, with no warning
+        s = GarbageState([1e200, 0.0, 1e200])
+        self.assertEqual(lyapunov_z(P3, s, Threshold.infinite()), math.inf)
+        self.assertEqual(lyapunov_z(P3, s, Threshold(1e160)), math.inf)
+        self.assertEqual(lyapunov_z(P3, s, Threshold(1.0)), 4 * 1.0 + 2 * 1.0)
+
+    def test_complete_graph_with_infinite_eps_squared(self):
+        # no non-edges, so eps^2 = inf must not enter as 0 * inf = nan
+        z = lyapunov_z(generate_graph("complete", 3), GarbageState([1.0, 2.0, 3.0]), Threshold(1e200))
+        self.assertEqual(z, 12.0)
+
 
 class TestDecrementBound(unittest.TestCase):
 

@@ -1,14 +1,20 @@
 import contextlib
+import csv
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import unittest
 import warnings
+from pathlib import Path
 
 from garbagegame.cli import CliError, main, run_verify, to_json, trajectory_csv, validate_trajectory
 from garbagegame.dynamics import GarbageState, Threshold, run
 from garbagegame.graph import generate_graph, render_edge_list
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run_cli(argv):
@@ -154,13 +160,29 @@ class TestSimulate(unittest.TestCase):
         self.assertIn("3 vertices", err)
 
     def test_overflowing_step_fails_cleanly(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # the energy of s0 is inf
-            code, out, err = run_cli(["simulate", "--generate", "path:3",
-                                      "--init", "1e308,0,1e308", "--epsilon", "inf"])
+        code, out, err = run_cli(["simulate", "--generate", "path:3",
+                                  "--init", "1e308,0,1e308", "--epsilon", "inf"])
         self.assertEqual(code, 1)
         self.assertEqual(out, "")
         self.assertIn("error: garbage amounts must be finite", err)
+
+    def test_overflowing_energy_is_inf_and_silent(self):
+        # Z of a finite state with |d| ~ 1e200 saturates to inf; in a fresh
+        # interpreter, so a numpy warning would reach stderr
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "traj.csv")
+            env = dict(os.environ)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+            proc = subprocess.run([sys.executable, "-m", "garbagegame", "simulate",
+                                   "--generate", "path:3", "--init", "1e200,0,1e200",
+                                   "--epsilon", "inf", "--max-steps", "5", "--out", path],
+                                  env=env, capture_output=True, text=True, timeout=120)
+            self.assertEqual(proc.returncode, 0, msg=proc.stderr)
+            self.assertEqual(proc.stderr, "")
+            with open(path, encoding="utf-8") as fh:
+                rows = list(csv.DictReader(fh))
+        self.assertEqual(len(rows), 6)
+        self.assertEqual([row["z"] for row in rows], ["inf"] * 6)
 
     def test_bad_generate_spec(self):
         for spec in ("blob:4", "cycle", "cycle:x", "erdos_renyi:5", "cycle:4:9"):

@@ -1,5 +1,7 @@
 import unittest
 
+import numpy as np
+
 from garbagegame.rng import SplitMix64, Xoshiro256StarStar, derive_seed
 
 
@@ -65,6 +67,51 @@ class TestXoshiro(unittest.TestCase):
         for _ in range(100):
             v = rng.next_uint64()
             self.assertTrue(0 <= v < 2**64)
+
+
+class TestBelow(unittest.TestCase):
+    """``below`` against the scalar stream of a twin generator."""
+
+    # lane and tail boundaries (k^2 - 1, k^2, k^2 + 1 and k(k + 1) for k = 7) and a prime
+    COUNTS = (0, 1, 2, 3, 48, 49, 50, 56, 97)
+
+    def check(self, seed, count, ps, skip=0):
+        twin = Xoshiro256StarStar(seed)
+        for _ in range(skip):
+            twin.random()
+        draws = [twin.random() for _ in range(count)]
+        after = [twin.next_uint64() for _ in range(4)]
+        for p in ps:
+            rng = Xoshiro256StarStar(seed)
+            for _ in range(skip):
+                rng.random()
+            mask = rng.below(count, p)
+            self.assertEqual(mask.dtype, np.bool_)
+            self.assertEqual(mask.tolist(), [d < p for d in draws], msg=(seed, count, p))
+            self.assertEqual([rng.next_uint64() for _ in range(4)], after, msg=(seed, count, p))
+        return draws
+
+    def test_lane_boundaries(self):
+        for seed in (0, 1, 99, 2**64 - 1):
+            for count in self.COUNTS:
+                self.check(seed, count, (0.0, 0.3, 1.0))
+
+    def test_mid_stream_start(self):
+        for skip in (1, 5):
+            for count in (1, 50, 1000):
+                self.check(17, count, (0.0, 0.3, 1.0), skip=skip)
+
+    def test_full_er_threshold_count(self):
+        # 1000 * 999 / 2 pairs: the Erdos-Renyi graph of the er_threshold workload
+        self.check(0, 499500, (0.0, 0.3, 1.0))
+
+    def test_tie_reads_false(self):
+        draws = self.check(5, 56, ())
+        for k in (0, 23, 55):
+            rng = Xoshiro256StarStar(5)
+            mask = rng.below(56, draws[k])
+            self.assertFalse(mask[k])
+            self.assertEqual(mask.tolist(), [d < draws[k] for d in draws])
 
 
 class TestDeriveSeed(unittest.TestCase):
