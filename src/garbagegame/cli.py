@@ -385,6 +385,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_spectral(args: argparse.Namespace) -> int:
     g = _load_graph(args)
+    if g.n < 2:
+        raise CliError(f"graph too small: n = {g.n}; spectral certificates need at least 2 vertices")
     if g.n > ISOPERIMETRIC_MAX_ORDER:
         raise CliError(f"graph too large for exact certificates: n = {g.n} > {ISOPERIMETRIC_MAX_ORDER}")
     if not is_connected(g):

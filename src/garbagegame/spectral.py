@@ -13,7 +13,7 @@ import numpy as np
 from .dynamics import GarbageState, Threshold, _ordered_sum, as_threshold, effective_edges, step
 from .graph import Graph, is_connected, laplacian
 
-ISOPERIMETRIC_MAX_ORDER = 20  # exhaustive subset enumeration, ~10^6 subsets
+ISOPERIMETRIC_MAX_ORDER = 20  # 2^n uint8 boundaries filled by numpy, ~7 MB at n = 20
 
 
 @dataclass(frozen=True)
@@ -53,37 +53,34 @@ def isoperimetric_number(g: Graph) -> float:
     """Exact isoperimetric number: the minimum over all nonempty vertex sets
     S with |S| <= n/2 of (boundary edge count) / |S|.
 
-    Computed by exhaustive subset enumeration with exact rational
-    comparisons; capped at n = 20.
+    Every subset's boundary is filled into one uint8 array of 2^n entries by
+    the recurrence d(S + v) = d(S) + deg(v) - 2|N(v) & S| over S below v, one
+    vectorized slice per vertex (~7 MB peak at n = 20).  The least boundary of
+    each size is then compared exactly as a rational; capped at n = 20.
     """
     n = g.n
     if n < 2:
         raise ValueError("isoperimetric number requires at least 2 vertices")
     if n > ISOPERIMETRIC_MAX_ORDER:
         raise ValueError(f"subset enumeration budget exceeded: n = {n} > {ISOPERIMETRIC_MAX_ORDER}")
-    nbr_mask = [0] * n
+    lower = [0] * n  # neighbours u < v of each v, as a bit mask
     eu, ev = g._ends
     for u, v in zip(eu.tolist(), ev.tolist()):
-        nbr_mask[u] |= 1 << v
-        nbr_mask[v] |= 1 << u
-    full = (1 << n) - 1
-    half = n // 2
-    best_num = 1  # ratio +inf sentinel replaced on first candidate
-    best_den = 0
-    for mask in range(1, 1 << n):
-        size = mask.bit_count()
-        if size > half:
-            continue
-        complement = full ^ mask
-        boundary = 0
-        bits = mask
-        while bits:
-            lsb = bits & -bits
-            bits ^= lsb
-            boundary += (nbr_mask[lsb.bit_length() - 1] & complement).bit_count()
-        # keep the smaller of boundary/size vs best_num/best_den, exactly
-        if boundary * best_den < best_num * size:
-            best_num, best_den = boundary, size
+        lower[v] |= 1 << u
+    masks = np.arange(1 << (n - 1), dtype=np.uint32)
+    boundary = np.zeros(1 << n, dtype=np.uint8)  # cuts of n <= 20 hold at most 100 edges
+    size = np.zeros(1 << n, dtype=np.uint8)
+    for v, deg in enumerate(g.degrees):
+        below, above = slice(0, 1 << v), slice(1 << v, 2 << v)
+        inside = np.bitwise_count(masks[below] & lower[v])
+        np.add(boundary[below], deg, out=boundary[above])
+        np.subtract(boundary[above], np.left_shift(inside, 1, out=inside), out=boundary[above])
+        np.add(size[below], 1, out=size[above])
+    best_num, best_den = 1, 0  # ratio +inf sentinel replaced on first candidate
+    for s in range(1, n // 2 + 1):
+        b = int(boundary[size == s].min())
+        if b * best_den < best_num * s:
+            best_num, best_den = b, s
     return best_num / best_den
 
 

@@ -298,6 +298,12 @@ class TestSpectralCommand(unittest.TestCase):
         self.assertEqual(code, 1)
         self.assertIn("too large", err)
 
+    def test_single_vertex_rejected(self):
+        code, out, err = run_cli(["spectral", "--generate", "path:1"])
+        self.assertEqual(code, 1)
+        self.assertEqual(out, "")
+        self.assertEqual(err, "error: graph too small: n = 1; spectral certificates need at least 2 vertices\n")
+
 
 class TestSerialization(unittest.TestCase):
 
