@@ -19,6 +19,7 @@ from .dynamics import (
     Threshold,
     Trajectory,
     _active,
+    _advance,
     _energy,
     _ordered_sum,
     as_threshold,
@@ -62,6 +63,14 @@ def lyapunov_z(g: Graph, s: GarbageState, eps: "Threshold | float") -> float:
     return _energy(g, d, threshold)
 
 
+def _decrement_bound(edge_count: int, deg: np.ndarray, x: np.ndarray, x_next: np.ndarray) -> float:
+    """4 * sum_i (|E_t| - |N_i|) * (x_i - x_i')^2, summed in vertex order."""
+    if edge_count == 0:
+        return 0.0
+    d = x - x_next
+    return 4.0 * _ordered_sum((edge_count - deg) * d * d)
+
+
 def decrement_lower_bound(g: Graph, s: GarbageState, eps: "Threshold | float") -> float:
     """Certified lower bound on the one-step energy decrease:
     4 * sum_i (|E_t| - |N_i|) * (x_i - x_i')^2.  Zero when no edge is active."""
@@ -70,8 +79,19 @@ def decrement_lower_bound(g: Graph, s: GarbageState, eps: "Threshold | float") -
     if topo.edge_count == 0:
         return 0.0
     deg = np.array([len(nbrs) for nbrs in topo.neighborhoods])
-    d = s.values - step(g, s, threshold).values
-    return 4.0 * _ordered_sum((topo.edge_count - deg) * d * d)
+    return _decrement_bound(topo.edge_count, deg, s.values, step(g, s, threshold).values)
+
+
+def _lyapunov_step(g: Graph, s: GarbageState, threshold: Threshold) -> tuple[LyapunovRecord, GarbageState]:
+    """lyapunov_record for s, and the validated next state, from one kernel
+    pass on s and one edge-difference pass on the next state."""
+    x_next, d, deg, m = _advance(g, s, threshold.epsilon)
+    nxt = GarbageState(x_next, time=s.time + 1)
+    d_next, _ = _active(g, nxt, threshold.epsilon)
+    cap = threshold.epsilon * threshold.epsilon  # inf at an infinite threshold: no cap
+    decrement = 2.0 * _ordered_sum(np.minimum(cap, d * d) - np.minimum(cap, d_next * d_next))
+    record = LyapunovRecord(_energy(g, d, threshold), decrement, _decrement_bound(m, deg, s.values, nxt.values))
+    return record, nxt
 
 
 def lyapunov_record(g: Graph, s: GarbageState, eps: "Threshold | float") -> LyapunovRecord:
@@ -81,12 +101,7 @@ def lyapunov_record(g: Graph, s: GarbageState, eps: "Threshold | float") -> Lyap
     carry the non-edge constant (n(n-1) - 2|E|) eps^2, whose float64 rounding
     would otherwise read as a violation of the bound.
     """
-    threshold = as_threshold(eps)
-    cap = threshold.epsilon * threshold.epsilon  # inf at an infinite threshold: no cap
-    d, _ = _active(g, s, threshold.epsilon)
-    d_next, _ = _active(g, step(g, s, threshold), threshold.epsilon)
-    decrement = 2.0 * _ordered_sum(np.minimum(cap, d * d) - np.minimum(cap, d_next * d_next))
-    return LyapunovRecord(lyapunov_z(g, s, threshold), decrement, decrement_lower_bound(g, s, threshold))
+    return _lyapunov_step(g, s, as_threshold(eps))[0]
 
 
 def is_trivial(s: GarbageState, vertices: Iterable[int], delta: float) -> bool:

@@ -75,7 +75,7 @@ class GarbageState:
         if np.any(arr < 0.0):
             i = int(np.argmin(arr))
             raise ValueError(f"negative garbage amount {float(arr[i])!r} at agent {i + 1}")
-        if not isinstance(self.time, int) or self.time < 0:
+        if not isinstance(self.time, int) or isinstance(self.time, bool) or self.time < 0:
             raise ValueError(f"time must be a nonnegative integer, got {self.time!r}")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
@@ -243,6 +243,18 @@ def transition_matrix(g: Graph, s: GarbageState, eps: "Threshold | float") -> np
     return A
 
 
+def _advance(g: Graph, s: GarbageState, threshold: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """One kernel pass from s: the unvalidated next values, and s's edge
+    differences d, active degrees |N_i| and active edge count |E_t|."""
+    d, mask = _active(g, s, threshold)
+    x = s.values
+    m = int(np.count_nonzero(mask))
+    if m == 0:
+        return x, d, np.zeros(g.n, dtype=np.intp), 0
+    recv, deg = _exchange(g, x, mask)
+    return recv / m + (1.0 - deg / m) * x, d, deg, m
+
+
 def step(g: Graph, s: GarbageState, eps: "Threshold | float") -> GarbageState:
     """Advance one synchronous step.
 
@@ -251,13 +263,7 @@ def step(g: Graph, s: GarbageState, eps: "Threshold | float") -> GarbageState:
     accumulate in ascending neighbor id so results are reproducible.
     Runs in O(n + |E|): the threshold is tested on every social edge.
     """
-    _, mask = _active(g, s, as_threshold(eps).epsilon)
-    x = s.values
-    m = int(np.count_nonzero(mask))
-    if m == 0:
-        return GarbageState(x, time=s.time + 1)
-    recv, deg = _exchange(g, x, mask)
-    return GarbageState(recv / m + (1.0 - deg / m) * x, time=s.time + 1)
+    return GarbageState(_advance(g, s, as_threshold(eps).epsilon)[0], time=s.time + 1)
 
 
 def _diagnose(g: Graph, s: GarbageState, threshold: Threshold) -> StepDiagnostics:
@@ -290,7 +296,7 @@ def run(
     """
     threshold = as_threshold(eps)
     _check_compatible(g, s0)
-    if not isinstance(max_steps, int) or max_steps < 0:
+    if not isinstance(max_steps, int) or isinstance(max_steps, bool) or max_steps < 0:
         raise ValueError(f"max_steps must be a nonnegative integer, got {max_steps!r}")
     if not (convergence_tol > 0.0):
         raise ValueError(f"convergence_tol must be positive, got {convergence_tol!r}")

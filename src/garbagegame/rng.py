@@ -15,6 +15,7 @@ to drawing them one by one.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -43,6 +44,19 @@ def _step_lanes(s: np.ndarray) -> None:
     s[0] ^= s[3]
     s[2] ^= t
     s[3] = (s[3] << 45) | (s[3] >> 19)
+
+
+@functools.lru_cache(maxsize=128)
+def _jump(length: int) -> np.ndarray:
+    """The (4, 256) L-step jump: column b is basis state b advanced ``length``
+    steps.  Cached per lane length and returned read-only."""
+    bit = np.arange(256)
+    jump = np.zeros((4, 256), dtype=np.uint64)
+    jump[bit // 64, bit] = np.uint64(1) << (bit % 64).astype(np.uint64)
+    for _ in range(length):
+        _step_lanes(jump)
+    jump.setflags(write=False)
+    return jump
 
 
 class SplitMix64:
@@ -104,11 +118,7 @@ class Xoshiro256StarStar:
         length = -(-count // math.isqrt(count))
         lanes = -(-count // length)
         last = count - (lanes - 1) * length  # draws in the last lane, 1..length
-        bit = np.arange(256)
-        jump = np.zeros((4, 256), dtype=np.uint64)
-        jump[bit // 64, bit] = np.uint64(1) << (bit % 64).astype(np.uint64)
-        for _ in range(length):
-            _step_lanes(jump)
+        jump = _jump(length)
         shifts = np.arange(64, dtype=np.uint64)
         s = np.empty((4, lanes), dtype=np.uint64)
         s[:, 0] = self._s

@@ -106,6 +106,14 @@ class TestDecrementBound(unittest.TestCase):
             rec = lyapunov_record(g, s, Threshold(10.0))
             self.assertEqual([type(v) for v in (rec.z, rec.decrement, rec.bound)], [float] * 3)
 
+    def test_overflowing_next_state_is_rejected(self):
+        # the centre's next amount is 1e308 + 1e308 = inf: the certificate
+        # path validates the next state like step does
+        s = GarbageState([1e308, 0.0, 1e308])
+        for certificate in (lyapunov_record, decrement_lower_bound):
+            with self.assertRaisesRegex(ValueError, "garbage amounts must be finite"):
+                certificate(P3, s, Threshold.infinite())
+
     def test_no_false_violation_near_consensus(self):
         # Z and Z' share the non-edge constant (n(n-1) - 2|E|) eps^2 = 2.35e11 here;
         # Z - Z' read up to 1.3e-5 below the bound on 7 of these 400 steps

@@ -80,6 +80,12 @@ class TestGarbageState(unittest.TestCase):
         with self.assertRaises(ValueError):
             GarbageState([1.0], time=-1)
 
+    def test_rejects_bool_time(self):
+        # bool is an int subclass; time=True would make the next state's time 2
+        for flag in (True, False):
+            with self.assertRaisesRegex(ValueError, "time must be a nonnegative integer"):
+                GarbageState([0.0, 1.0, 5.0], time=flag)
+
     def test_values_are_frozen_copies(self):
         src = np.array([1.0, 2.0])
         s = GarbageState(src)
@@ -315,6 +321,12 @@ class TestRun(unittest.TestCase):
         traj = run(C4, s, Threshold.infinite(), max_steps=0)
         self.assertEqual(traj.steps_run, 0)
         np.testing.assert_array_equal(traj.initial_state.values, s.values)
+
+    def test_rejects_bool_max_steps(self):
+        # bool is an int subclass; max_steps=True would silently run one step
+        for flag in (True, False):
+            with self.assertRaisesRegex(ValueError, "max_steps must be a nonnegative integer"):
+                run(P3, GarbageState([0.0, 1.0, 5.0]), Threshold(2.0), max_steps=flag)
 
     def test_p3_oscillation_not_converged(self):
         traj = run(P3, GarbageState([0.0, 1.0, 5.0]), Threshold(2.0), max_steps=50)

@@ -11,7 +11,7 @@ import unittest
 
 import numpy as np
 
-from garbagegame.analysis import decrement_lower_bound, lyapunov_z
+from garbagegame.analysis import _lyapunov_step, decrement_lower_bound, lyapunov_record, lyapunov_z
 from garbagegame.dynamics import GarbageState, Threshold, effective_edges, run, step
 from garbagegame.graph import Graph, generate_graph, random_connected_graph
 from garbagegame.rng import Xoshiro256StarStar, derive_seed
@@ -71,6 +71,18 @@ def ref_decrement_lower_bound(g, x, threshold):
     return 4.0 * total
 
 
+def ref_decrement(g, x, threshold):
+    """2 * sum over edges of min(eps^2, d^2) - min(eps^2, d'^2), summed in edge order."""
+    cap = threshold * threshold
+    y = ref_step(g, x, threshold).tolist()
+    total = 0.0
+    for u, v in g.edge_list:
+        d = x[u - 1] - x[v - 1]
+        d_next = y[u - 1] - y[v - 1]
+        total += min(cap, d * d) - min(cap, d_next * d_next)
+    return 2.0 * total
+
+
 def instances(seed, count):
     """Seeded (graph, values, threshold) triples across shapes, magnitudes and ties."""
     rng = Xoshiro256StarStar(seed)
@@ -123,6 +135,13 @@ class TestKernelMatchesLoops(unittest.TestCase):
                 self.assert_same_bits(
                     decrement_lower_bound(g, s, Threshold(eps)), ref_decrement_lower_bound(g, cur, eps), msg
                 )
+                rec = lyapunov_record(g, s, eps)
+                self.assert_same_bits(rec.z, ref_lyapunov_z(g, cur, eps), msg)
+                self.assert_same_bits(rec.decrement, ref_decrement(g, cur, eps), msg)
+                self.assert_same_bits(rec.bound, ref_decrement_lower_bound(g, cur, eps), msg)
+                _, nxt = _lyapunov_step(g, s, Threshold(eps))
+                self.assertEqual(nxt.values.tobytes(), got.values.tobytes(), msg=f"{msg} t={t}")
+                self.assertEqual(nxt.time, t + 1, msg=msg)
                 cur = want.tolist()
 
     def test_run_diagnostics_match_loops(self):

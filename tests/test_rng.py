@@ -2,7 +2,7 @@ import unittest
 
 import numpy as np
 
-from garbagegame.rng import SplitMix64, Xoshiro256StarStar, derive_seed
+from garbagegame.rng import SplitMix64, Xoshiro256StarStar, _jump, derive_seed
 
 
 class TestSplitMix64(unittest.TestCase):
@@ -104,6 +104,20 @@ class TestBelow(unittest.TestCase):
     def test_full_er_threshold_count(self):
         # 1000 * 999 / 2 pairs: the Erdos-Renyi graph of the er_threshold workload
         self.check(0, 499500, (0.0, 0.3, 1.0))
+
+    def test_jump_cache_across_counts(self):
+        # counts 50, 97, 50 use lane lengths 8, 11, 8: the second call for 50
+        # reuses the cached jump built by the first
+        counts, p = (50, 97, 50), 0.3
+        for seed in (0, 99):
+            twin = Xoshiro256StarStar(seed)
+            rng = Xoshiro256StarStar(seed)
+            for count in counts:
+                want = [twin.random() < p for _ in range(count)]
+                self.assertEqual(rng.below(count, p).tolist(), want, msg=(seed, count))
+            self.assertEqual([rng.next_uint64() for _ in range(4)], [twin.next_uint64() for _ in range(4)])
+        self.assertFalse(_jump(8).flags.writeable)
+        self.assertFalse(_jump(11).flags.writeable)
 
     def test_tie_reads_false(self):
         draws = self.check(5, 56, ())
