@@ -175,11 +175,10 @@ def convergence_report(traj: Trajectory, tol: float = 1e-9) -> ConvergenceReport
     conservation_error = max(
         (abs(b - a) for a, b in zip(sums, sums[1:])), default=0.0
     )
-    trivialization_time: int | None = None
-    for state in traj.states:
-        if state.max_pairwise_diff() <= threshold.epsilon:
-            trivialization_time = state.time
-            break
+    trivialization_time = next(
+        (s.time for s, d in zip(traj.states, traj.diagnostics) if d.max_diff <= threshold.epsilon), None
+    )
+    # effective_edges, not diagnostics[-1]: perfbench samples dynamics.active_edge_frac from this call
     final_topology_full = effective_edges(g, final, threshold).edge_count == g.edge_count
     converged = final.max_pairwise_diff() <= tol and final_topology_full
     return ConvergenceReport(

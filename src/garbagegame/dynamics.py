@@ -140,7 +140,7 @@ class Trajectory:
     diagnostics: list[StepDiagnostics] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        if self.diagnostics and len(self.diagnostics) != len(self.states):
+        if len(self.diagnostics) != len(self.states):
             raise ValueError("diagnostics must align one-to-one with states")
 
     @property
@@ -266,15 +266,6 @@ def step(g: Graph, s: GarbageState, eps: "Threshold | float") -> GarbageState:
     return GarbageState(_advance(g, s, as_threshold(eps).epsilon)[0], time=s.time + 1)
 
 
-def _diagnose(g: Graph, s: GarbageState, threshold: Threshold) -> StepDiagnostics:
-    d, mask = _active(g, s, threshold.epsilon)
-    return StepDiagnostics(
-        z=_energy(g, d, threshold),
-        active_edges=int(np.count_nonzero(mask)),
-        max_diff=s.max_pairwise_diff(),
-    )
-
-
 def run(
     g: Graph,
     s0: GarbageState,
@@ -283,6 +274,10 @@ def run(
     convergence_tol: float = 1e-9,
 ) -> Trajectory:
     """Iterate the step up to max_steps, recording diagnostics each step.
+
+    Each state is advanced once: the kernel pass that computes its successor
+    also gives its energy Z and active edge count |E_t|.  The successor of
+    the last state is computed but never validated or kept.
 
     Stops early once the amounts agree within convergence_tol AND every
     social edge is active (the post-threshold regime); oscillation on a
@@ -300,22 +295,21 @@ def run(
         raise ValueError(f"max_steps must be a nonnegative integer, got {max_steps!r}")
     if not (convergence_tol > 0.0):
         raise ValueError(f"convergence_tol must be positive, got {convergence_tol!r}")
-    states = [s0]
-    diags = [_diagnose(g, s0, threshold)]
-    total_edges = g.edge_count
-    for _ in range(max_steps):
-        d = diags[-1]
-        if d.max_diff <= convergence_tol and d.active_edges == total_edges:
+    states, diags = [s0], []
+    while True:
+        cur = states[-1]
+        x_next, d, _, m = _advance(g, cur, threshold.epsilon)
+        diags.append(StepDiagnostics(_energy(g, d, threshold), m, cur.max_pairwise_diff()))
+        if len(states) > max_steps or (diags[-1].max_diff <= convergence_tol and m == g.edge_count):
             break
-        nxt = step(g, states[-1], threshold)
+        nxt = GarbageState(x_next, time=cur.time + 1)
         period = next((p for p in (1, 2) if p <= len(states) and _same_bits(states[-p], nxt)), 0)
         if period:
             cycle = list(zip(states[-period:], diags[-period:]))
-            for k, t in enumerate(range(states[-1].time + 1, s0.time + max_steps + 1)):
-                s, d = cycle[k % period]
+            for k, t in enumerate(range(nxt.time, s0.time + max_steps + 1)):
+                s, diag = cycle[k % period]
                 states.append(GarbageState._retimed(s, t))
-                diags.append(d)
+                diags.append(diag)
             break
         states.append(nxt)
-        diags.append(_diagnose(g, nxt, threshold))
     return Trajectory(graph=g, threshold=threshold, states=states, diagnostics=diags)

@@ -39,7 +39,7 @@ class Graph:
     edges: frozenset[tuple[int, int]] = frozenset()
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
+        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
             raise GraphError(f"vertex count must be a positive integer, got {self.n!r}")
         canonical = set()
         for edge in self.edges:
@@ -159,7 +159,7 @@ def generate_graph(kind: str, order: int, p: float | None = None, seed: int = 0)
     lexicographic order and keeps the edge when the draw is below p.
     Vertex 1 is the center of 'star'.
     """
-    if not isinstance(order, int) or order < 1:
+    if not isinstance(order, int) or isinstance(order, bool) or order < 1:
         raise GraphError(f"order must be a positive integer, got {order!r}")
     if kind != "erdos_renyi" and p is not None:
         raise GraphError(f"edge probability is only valid for erdos_renyi, not {kind!r}")

@@ -245,6 +245,12 @@ class TestConvergenceReport(unittest.TestCase):
         traj2 = run(C4, GarbageState([0.0, 4.0, 8.0, 12.0]), Threshold(4.0), max_steps=0)
         report2 = convergence_report(traj2)
         self.assertIsNone(report2.trivialization_time)  # spread 12 > 4, no steps taken
+        traj3 = run(generate_graph("cycle", 6), GarbageState([0.0, 2.0, 4.0, 6.0, 8.0, 10.0]), Threshold(8.0))
+        report3 = convergence_report(traj3)
+        self.assertEqual(report3.trivialization_time, 4)  # spread 10 > 8 until t=4
+        self.assertGreater(traj3.states[3].max_pairwise_diff(), 8.0)
+        self.assertTrue(report3.converged)
+        self.assertEqual(report3.steps_run, 129)
 
     def test_single_vertex(self):
         traj = run(Graph(1), GarbageState([7.0]), Threshold.infinite())

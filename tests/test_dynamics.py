@@ -1,5 +1,6 @@
 import math
 import unittest
+import warnings
 
 import numpy as np
 
@@ -322,6 +323,17 @@ class TestRun(unittest.TestCase):
         self.assertEqual(traj.steps_run, 0)
         np.testing.assert_array_equal(traj.initial_state.values, s.values)
 
+    def test_unused_overflowing_successor_is_not_validated(self):
+        # the pass that diagnoses the only state also computes its successor,
+        # which overflows; with max_steps=0 nothing may see it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            traj = run(P3, GarbageState([1e308, 0.0, 1e308]), Threshold.infinite(), max_steps=0)
+        self.assertEqual(len(traj.states), 1)
+        self.assertEqual(traj.diagnostics[0].z, math.inf)
+        with self.assertRaisesRegex(ValueError, "finite"):
+            run(P3, GarbageState([1e308, 0.0, 1e308]), Threshold.infinite(), max_steps=1)
+
     def test_rejects_bool_max_steps(self):
         # bool is an int subclass; max_steps=True would silently run one step
         for flag in (True, False):
@@ -371,6 +383,12 @@ class TestTrajectoryType(unittest.TestCase):
         with self.assertRaises(ValueError):
             Trajectory(graph=g, threshold=Threshold(1.0), states=[s, s],
                        diagnostics=[None])
+
+    def test_states_without_diagnostics_rejected(self):
+        s0 = GarbageState([0.0, 1.0, 5.0])
+        with self.assertRaisesRegex(ValueError, "align one-to-one"):
+            Trajectory(graph=P3, threshold=Threshold(2.0), states=[s0, step(P3, s0, Threshold(2.0))])
+        Trajectory(graph=P3, threshold=Threshold(2.0), states=[])  # no states, no diagnostics: valid
 
 
 if __name__ == "__main__":

@@ -1,9 +1,11 @@
 """Fast-forward of exact periodic tails in run, the CSV and --validate.
 
 The oracle is the plain loop run used before the fast-forward: one step and
-one diagnosis per state until the stop test or max_steps.  A run must agree
-with it in every state's bytes, every time index and every diagnostic's repr,
-so the CSV and summary bytes cannot move.
+one diagnosis per state until the stop test or max_steps.  It builds the
+diagnostics from public functions only, so it shares no code path with run's
+fused kernel pass.  A run must agree with it in every state's bytes, every
+time index and every diagnostic's repr, so the CSV and summary bytes cannot
+move.
 """
 
 import contextlib
@@ -14,24 +16,31 @@ import unittest
 from unittest import mock
 
 from garbagegame import cli, dynamics
+from garbagegame.analysis import lyapunov_z
 from garbagegame.cli import trajectory_csv, validate_trajectory
-from garbagegame.dynamics import GarbageState, Threshold, Trajectory, _diagnose, run, step
+from garbagegame.dynamics import GarbageState, StepDiagnostics, Threshold, Trajectory, effective_edges, run, step
 from garbagegame.graph import Graph, generate_graph, random_connected_graph
 from garbagegame.rng import Xoshiro256StarStar, derive_seed
 
 P3 = generate_graph("path", 3)
 
 
+def diagnose(g, s, threshold):
+    return StepDiagnostics(
+        lyapunov_z(g, s, threshold), effective_edges(g, s, threshold).edge_count, s.max_pairwise_diff()
+    )
+
+
 def plain_run(g, s0, threshold, max_steps, tol=1e-9):
     """The loop the fast-forward replaced: every state stepped and diagnosed."""
     states = [s0]
-    diags = [_diagnose(g, s0, threshold)]
+    diags = [diagnose(g, s0, threshold)]
     for _ in range(max_steps):
         d = diags[-1]
         if d.max_diff <= tol and d.active_edges == g.edge_count:
             break
         states.append(step(g, states[-1], threshold))
-        diags.append(_diagnose(g, states[-1], threshold))
+        diags.append(diagnose(g, states[-1], threshold))
     return Trajectory(graph=g, threshold=threshold, states=states, diagnostics=diags)
 
 
@@ -56,9 +65,7 @@ def tail_period(traj):
     return 0
 
 
-def counting(calls):
-    real = dynamics.step
-
+def counting(calls, real):
     def counted(*args, **kwargs):
         calls.append(args[1].time)
         return real(*args, **kwargs)
@@ -174,16 +181,23 @@ class TestBitwiseNotValuePeriodicity(unittest.TestCase):
 class TestStepCalls(unittest.TestCase):
 
     def test_p3_tail_is_not_stepped(self):
-        calls = []
-        counted = counting(calls)
-        with mock.patch.object(dynamics, "step", counted), mock.patch.object(cli, "step", counted):
+        advances, steps = [], []
+        counted_step = counting(steps, dynamics.step)
+        with mock.patch.object(dynamics, "_advance", counting(advances, dynamics._advance)), \
+                mock.patch.object(dynamics, "step", counted_step), mock.patch.object(cli, "step", counted_step):
             traj = run(P3, GarbageState([0.0, 1.0, 5.0]), Threshold(2.0), max_steps=100_000)
-            self.assertLessEqual(len(calls), 3)
-            calls.clear()
+            self.assertEqual(advances, [0, 1])  # one pass per distinct state; t=2 repeats t=0
+            self.assertEqual(steps, [])
             validate_trajectory(traj)
-            self.assertLessEqual(len(calls), 3)
+            self.assertLessEqual(len(steps), 3)
         self.assertEqual(traj.steps_run, 100_000)
         self.assertEqual(traj.final_state.values.tolist(), [0.0, 1.0, 5.0])
+
+    def test_one_advance_per_state(self):
+        advances = []
+        with mock.patch.object(dynamics, "_advance", counting(advances, dynamics._advance)):
+            traj = run(generate_graph("cycle", 6), GarbageState([0.0, 2.0, 4.0, 6.0, 8.0, 10.0]), Threshold(8.0))
+        self.assertEqual(advances, [s.time for s in traj.states])  # the last state's pass included
 
     def test_tail_states_share_values(self):
         traj = run(P3, GarbageState([0.0, 1.0, 5.0]), Threshold(2.0), max_steps=50)

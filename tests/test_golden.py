@@ -40,6 +40,17 @@ SIMULATE_GOLDEN = {
         "159d46b41d3af856882145c6be96f422920937ceb588686e516a62b9efe2820f",
         "8435d610ba358344f283fc2ca38a432e1cc684d41fce328a4d137bae97cc96bd",
     ),
+    "cycle_trivializes": (
+        ["simulate", "--generate", "cycle:6", "--init", "0,2,4,6,8,10", "--epsilon", "8"],
+        "ae38567853896e9c899532c185d0780839fa5d1c34307093559b519f42d44e57",
+        "098e3b33f4b1260e9e306d1b5d79bf5a3604c8b7af9779e20db13167626af406",
+    ),
+    "path_period_two": (
+        ["simulate", "--generate", "path:3", "--init", "0,1,5", "--epsilon", "2", "--max-steps", "5000",
+         "--validate"],
+        "e599a625cd4c86fbf3df42332b9c0cbde7ad61e8b596c4e575908e389109ca6a",
+        "5152a51d444abfe9e6c69627e126c78f42c2a59f1084991d7d8486e5410b35e3",
+    ),
 }
 
 VERIFY_ARGV = ["verify", "--suite", "lyapunov", "--trials", "12", "--sizes", "3:30", "--seed", "11"]

@@ -42,6 +42,11 @@ class TestGraphType(unittest.TestCase):
         with self.assertRaises(GraphError):
             Graph(-2)
 
+    def test_rejects_bool_order(self):
+        # bool is an int subclass; Graph(True) would be a one-vertex graph with n = True
+        with self.assertRaisesRegex(GraphError, "vertex count must be a positive integer"):
+            Graph(True)
+
     def test_degree_sum_is_twice_edge_count(self):
         rng = Xoshiro256StarStar(5)
         for _ in range(50):
@@ -148,6 +153,10 @@ class TestGenerateGraph(unittest.TestCase):
             generate_graph("erdos_renyi", 5, p=-0.1, seed=0)
         with self.assertRaises(GraphError):
             generate_graph("wheel", 5)
+
+    def test_rejects_bool_order(self):
+        with self.assertRaisesRegex(GraphError, "order must be a positive integer"):
+            generate_graph("path", True)
 
     def test_degenerate_cycle_orders(self):
         # the closing edge coincides with the path edge; set semantics absorb it

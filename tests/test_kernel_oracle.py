@@ -147,10 +147,15 @@ class TestKernelMatchesLoops(unittest.TestCase):
     def test_run_diagnostics_match_loops(self):
         for k, (g, x, eps) in enumerate(instances(derive_seed(4041, 0), 150)):
             traj = run(g, GarbageState(x), Threshold(eps), max_steps=6)
+            want = np.array(x)
             for state, diag in zip(traj.states, traj.diagnostics):
                 values = state.values.tolist()
                 msg = f"instance {k}, t={state.time}"
+                self.assertEqual(state.values.tobytes(), want.tobytes(), msg=msg)
+                want = ref_step(g, values, eps)
                 self.assert_same_bits(diag.z, ref_lyapunov_z(g, values, eps), msg)
+                self.assertIs(type(diag.max_diff), float, msg=msg)
+                self.assertEqual(diag.max_diff, max(values) - min(values), msg=msg)
                 active = sum(1 for u, v in g.edge_list if abs(values[u - 1] - values[v - 1]) <= eps)
                 self.assertEqual(diag.active_edges, active, msg=msg)
                 self.assertEqual(effective_edges(g, state, Threshold(eps)).edge_count, active, msg=msg)
