@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -76,10 +76,7 @@ def decrement_lower_bound(g: Graph, s: GarbageState, eps: "Threshold | float") -
     4 * sum_i (|E_t| - |N_i|) * (x_i - x_i')^2.  Zero when no edge is active."""
     threshold = as_threshold(eps)
     topo = effective_edges(g, s, threshold)
-    if topo.edge_count == 0:
-        return 0.0
-    deg = np.array([len(nbrs) for nbrs in topo.neighborhoods])
-    return _decrement_bound(topo.edge_count, deg, s.values, step(g, s, threshold).values)
+    return _decrement_bound(topo.edge_count, np.array(topo.degrees), s.values, step(g, s, threshold).values)
 
 
 def _lyapunov_step(g: Graph, s: GarbageState, threshold: Threshold) -> tuple[LyapunovRecord, GarbageState]:
@@ -135,10 +132,24 @@ def roundoff_slack(scale: float) -> float:
     return 4.0 * math.ulp(max(1.0, abs(scale)))
 
 
+def _scaled_totals(states: Sequence[GarbageState]) -> tuple[list[float], float]:
+    """The states' float64 totals and the factor that scales them back: 1 unless a
+    plain sum overflows; then every total is summed from x * 2^-k, 2^k > n.  Sums
+    scale exactly by 2^-k, as step does, so means and total differences come out
+    as with an unbounded exponent (short of amounts below 2^(k-1022))."""
+    with np.errstate(over="ignore"):
+        totals = [float(s.values.sum()) for s in states]
+    if math.inf not in totals:
+        return totals, 1.0
+    k = states[0].n.bit_length()
+    return [float(np.ldexp(s.values, -k).sum()) for s in states], 2.0**k
+
+
 def conservation_violation(g: Graph, a: GarbageState, b: GarbageState) -> str | None:
     """Why the step a -> b changed the total beyond 1e-12 * n * max(a), or None."""
     budget = 1e-12 * g.n * float(a.values.max())
-    drift = abs(float(b.values.sum()) - float(a.values.sum()))
+    (total_a, total_b), unit = _scaled_totals((a, b))
+    drift = abs(total_b - total_a) * unit
     if drift > budget:
         return f"conservation drift {drift:.3e} exceeds {budget:.3e} at t={a.time}"
     return None
@@ -167,14 +178,11 @@ def convergence_report(traj: Trajectory, tol: float = 1e-9) -> ConvergenceReport
         raise ValueError(f"tol must be positive, got {tol!r}")
     g = traj.graph
     threshold = traj.threshold
-    first = traj.states[0]
     final = traj.states[-1]
-    initial_average = float(first.values.mean())
+    totals, unit = _scaled_totals(traj.states)  # a mean is its total / n: numpy's mean, bit for bit
+    initial_average = totals[0] / g.n * unit
     max_dev = float(np.max(np.abs(final.values - initial_average)))
-    sums = [float(s.values.sum()) for s in traj.states]
-    conservation_error = max(
-        (abs(b - a) for a, b in zip(sums, sums[1:])), default=0.0
-    )
+    conservation_error = max((abs(b - a) for a, b in zip(totals, totals[1:])), default=0.0) * unit
     trivialization_time = next(
         (s.time for s, d in zip(traj.states, traj.diagnostics) if d.max_diff <= threshold.epsilon), None
     )
@@ -183,7 +191,7 @@ def convergence_report(traj: Trajectory, tol: float = 1e-9) -> ConvergenceReport
     converged = final.max_pairwise_diff() <= tol and final_topology_full
     return ConvergenceReport(
         converged=converged,
-        limit_estimate=float(final.values.mean()),
+        limit_estimate=totals[-1] / g.n * unit,
         initial_average=initial_average,
         max_deviation_from_average=max_dev,
         trivialization_time=trivialization_time,

@@ -82,20 +82,20 @@ def to_json(value: Any) -> str:
 def trajectory_csv(traj: Trajectory) -> str:
     """Per-step CSV: t, x_1..x_n, energy, active edge count, max difference.
 
-    A state with the bits of the state 1 or 2 rows back reuses that row's
-    formatted x cells; only t and the diagnostics are formatted again."""
+    A row whose state has the bits of the state 1 or 2 rows back, and which
+    carries that row's diagnostics object (as run's periodic tail does), reuses
+    that row's text after t; only t is formatted again."""
     n = traj.graph.n
     header = "t," + ",".join(f"x_{i}" for i in range(1, n + 1)) + ",z,active_edges,max_diff"
     lines = [header]
-    recent: list[tuple[GarbageState, str]] = []  # the last two rows' states and x cells
+    recent = []  # the last two rows' states, diagnostics objects and text after t
     for state, diag in zip(traj.states, traj.diagnostics):
-        xs = next((cells for prev, cells in recent if _same_bits(prev, state)), None)
-        if xs is None:
+        rest = next((text for prev, d, text in recent if d is diag and _same_bits(prev, state)), None)
+        if rest is None:
             xs = ",".join(format_float(v) for v in state.values.tolist())
-        recent = [*recent[-1:], (state, xs)]
-        lines.append(
-            f"{state.time},{xs},{format_float(diag.z)},{diag.active_edges},{format_float(diag.max_diff)}"
-        )
+            rest = f"{xs},{format_float(diag.z)},{diag.active_edges},{format_float(diag.max_diff)}"
+        recent = [*recent[-1:], (state, diag, rest)]
+        lines.append(f"{state.time},{rest}")
     return "\n".join(lines) + "\n"
 
 

@@ -97,28 +97,25 @@ class GarbageState:
         return float(self.values.max() - self.values.min())
 
 
-@dataclass(frozen=True)
-class ActiveTopology:
-    """Active edge set at one time step, with per-vertex neighborhoods."""
-
-    active_edges: frozenset[tuple[int, int]]
-    neighborhoods: tuple[tuple[int, ...], ...]
-    edge_count: int
+class ActiveTopology(Graph):
+    """Active subgraph at one time step: the social graph's n vertices and its
+    active edges."""
 
     @property
-    def n(self) -> int:
-        return len(self.neighborhoods)
+    def active_edges(self) -> frozenset[tuple[int, int]]:
+        return self.edges
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.neighborhoods[v - 1]
+    @property
+    def neighborhoods(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(self.neighbors(v) for v in range(1, self.n + 1))
 
     def laplacian(self) -> np.ndarray:
         """Laplacian of the active graph as a float matrix."""
-        return laplacian(Graph(self.n, self.active_edges)).astype(np.float64)
+        return laplacian(self).astype(np.float64)
 
     def components(self) -> list[frozenset[int]]:
         """Connected components of the active graph (isolated vertices included)."""
-        return connected_components(self.n, self.active_edges)
+        return connected_components(self.n, self.edges)
 
 
 @dataclass(frozen=True)
@@ -211,18 +208,10 @@ def _energy(g: Graph, d: np.ndarray, threshold: Threshold) -> float:
 
 
 def effective_edges(g: Graph, s: GarbageState, eps: "Threshold | float") -> ActiveTopology:
-    """Active topology: social edges whose endpoint amounts differ by at most
-    the threshold (inclusive comparison)."""
+    """The active subgraph on g's vertices: the social edges whose endpoint
+    amounts differ by at most the threshold (inclusive comparison)."""
     _, mask = _active(g, s, as_threshold(eps).epsilon)
-    src, dst, eid = g._half_edges
-    on = mask[eid]
-    flat = (src[on] + 1).tolist()  # active neighbors, grouped by vertex, each group ascending
-    stops = np.cumsum(np.bincount(dst[on], minlength=g.n)).tolist()
-    return ActiveTopology(
-        active_edges=frozenset(compress(g.edge_list, mask.tolist())),
-        neighborhoods=tuple(tuple(flat[a:b]) for a, b in zip([0] + stops, stops)),
-        edge_count=int(np.count_nonzero(mask)),
-    )
+    return ActiveTopology(g.n, frozenset(compress(g.edge_list, mask.tolist())))
 
 
 def transition_matrix(g: Graph, s: GarbageState, eps: "Threshold | float") -> np.ndarray:

@@ -200,6 +200,13 @@ class TestStepViolations(unittest.TestCase):
         self.assertIn("t=5", message)
         self.assertIn("conservation drift", message)
 
+    def test_conservation_beyond_float64_range(self):
+        # both plain totals overflow to inf, and inf - inf = nan never exceeds a budget
+        a = GarbageState([1e308, 0.0, 1e308], time=1)
+        message = conservation_violation(P3, a, GarbageState([1e308] * 3))
+        self.assertEqual(message, "conservation drift 1.000e+308 exceeds 3.000e+296 at t=1")
+        self.assertIsNone(conservation_violation(P3, a, GarbageState([1e308, 0.0, 1e308])))
+
     def test_hull(self):
         a = GarbageState([1.0, 3.0], time=2)
         self.assertIsNone(hull_violation(a, GarbageState([1.5, 2.5])))
@@ -251,6 +258,17 @@ class TestConvergenceReport(unittest.TestCase):
         self.assertGreater(traj3.states[3].max_pairwise_diff(), 8.0)
         self.assertTrue(report3.converged)
         self.assertEqual(report3.steps_run, 129)
+
+    def test_totals_beyond_float64_range(self):
+        # the plain sums overflow; the means and drift are exact, without a warning
+        p2 = generate_graph("path", 2)
+        report = convergence_report(run(p2, GarbageState([1.7e308] * 2), Threshold.infinite()))
+        self.assertEqual((report.initial_average, report.limit_estimate), (1.7e308, 1.7e308))
+        self.assertEqual((report.max_deviation_from_average, report.conservation_error), (0.0, 0.0))
+        report = convergence_report(run(P3, GarbageState([1e308, 0.0, 1e308]), Threshold(1e300), max_steps=3))
+        mean = 1e308 / 3 * 2  # (2 * 1e308) / 3, correctly rounded
+        self.assertEqual((report.initial_average, report.limit_estimate), (mean, mean))
+        self.assertEqual((report.max_deviation_from_average, report.conservation_error), (mean, 0.0))
 
     def test_single_vertex(self):
         traj = run(Graph(1), GarbageState([7.0]), Threshold.infinite())

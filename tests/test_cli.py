@@ -28,6 +28,14 @@ def run_cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def run_fresh(argv):
+    """Invoke the package in a fresh interpreter, where a numpy warning would reach stderr."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "garbagegame", *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
 class TestSimulate(unittest.TestCase):
 
     def test_cycle4_summary(self):
@@ -167,22 +175,34 @@ class TestSimulate(unittest.TestCase):
         self.assertIn("error: garbage amounts must be finite", err)
 
     def test_overflowing_energy_is_inf_and_silent(self):
-        # Z of a finite state with |d| ~ 1e200 saturates to inf; in a fresh
-        # interpreter, so a numpy warning would reach stderr
+        # Z of a finite state with |d| ~ 1e200 saturates to inf
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "traj.csv")
-            env = dict(os.environ)
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-            proc = subprocess.run([sys.executable, "-m", "garbagegame", "simulate",
-                                   "--generate", "path:3", "--init", "1e200,0,1e200",
-                                   "--epsilon", "inf", "--max-steps", "5", "--out", path],
-                                  env=env, capture_output=True, text=True, timeout=120)
+            proc = run_fresh(["simulate", "--generate", "path:3", "--init", "1e200,0,1e200",
+                              "--epsilon", "inf", "--max-steps", "5", "--out", path])
             self.assertEqual(proc.returncode, 0, msg=proc.stderr)
             self.assertEqual(proc.stderr, "")
             with open(path, encoding="utf-8") as fh:
                 rows = list(csv.DictReader(fh))
         self.assertEqual(len(rows), 6)
         self.assertEqual([row["z"] for row in rows], ["inf"] * 6)
+
+    def test_totals_beyond_float64_range(self):
+        # the plain float64 sums overflow: the summary still holds the exact means, as JSON
+        mean = 1e308 / 3 * 2
+        for argv, want in (
+            (["--generate", "path:2", "--init", "1.7e308,1.7e308", "--epsilon", "inf"], (1.7e308, 0.0)),
+            (["--generate", "path:3", "--init", "1e308,0,1e308", "--epsilon", "1e300", "--max-steps", "3",
+              "--validate"], (mean, mean)),
+        ):
+            proc = run_fresh(["simulate", *argv])
+            self.assertEqual(proc.returncode, 0, msg=proc.stderr)
+            self.assertEqual(proc.stderr, "")
+            summary = json.loads(proc.stdout)
+            self.assertEqual(summary["limit_estimate"], want[0])
+            self.assertEqual(summary["initial_average"], want[0])
+            self.assertEqual(summary["max_abs_dev_from_average"], want[1])
+            self.assertEqual(summary["conservation_error"], 0)
 
     def test_bad_generate_spec(self):
         for spec in ("blob:4", "cycle", "cycle:x", "erdos_renyi:5", "cycle:4:9"):

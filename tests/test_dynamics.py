@@ -14,7 +14,7 @@ from garbagegame.dynamics import (
     step,
     transition_matrix,
 )
-from garbagegame.graph import Graph, generate_graph, random_connected_graph
+from garbagegame.graph import Graph, GraphError, generate_graph, random_connected_graph
 from garbagegame.rng import Xoshiro256StarStar, derive_seed
 
 P3 = generate_graph("path", 3)
@@ -132,6 +132,14 @@ class TestEffectiveEdges(unittest.TestCase):
     def test_length_mismatch(self):
         with self.assertRaises(ValueError):
             effective_edges(P3, GarbageState([1.0, 2.0]), Threshold(1.0))
+
+    def test_neighbors_outside_the_vertex_range(self):
+        # a range check, not tuple indexing: v = 0 must not read vertex 3's neighbors
+        topo = effective_edges(P3, GarbageState([0.0, 1.0, 5.0]), Threshold(10.0))
+        for v in (0, 4):
+            with self.assertRaises(GraphError) as ctx:
+                topo.neighbors(v)
+            self.assertEqual(str(ctx.exception), f"vertex {v} outside 1..3")
 
 
 class TestTransitionMatrix(unittest.TestCase):

@@ -8,12 +8,13 @@ tolerance: the CSV and summary bytes depend on every last digit.
 
 import math
 import unittest
+from itertools import compress
 
 import numpy as np
 
 from garbagegame.analysis import _lyapunov_step, decrement_lower_bound, lyapunov_record, lyapunov_z
-from garbagegame.dynamics import GarbageState, Threshold, effective_edges, run, step
-from garbagegame.graph import Graph, generate_graph, random_connected_graph
+from garbagegame.dynamics import ActiveTopology, GarbageState, Threshold, _active, effective_edges, run, step
+from garbagegame.graph import Graph, connected_components, generate_graph, laplacian, random_connected_graph
 from garbagegame.rng import Xoshiro256StarStar, derive_seed
 
 MAGNITUDES = (1e-6, 1e-3, 1.0, 1e3, 1e12, 1e50, 1e150)
@@ -81,6 +82,25 @@ def ref_decrement(g, x, threshold):
         d_next = y[u - 1] - y[v - 1]
         total += min(cap, d * d) - min(cap, d_next * d_next)
     return 2.0 * total
+
+
+def ref_active_topology(g, s, threshold):
+    """The eager build effective_edges made before the active topology became a
+    Graph: the edge set, each vertex's neighbor tuple cut from the half-edges,
+    and the Laplacian of a second Graph on the active edges."""
+    _, mask = _active(g, s, threshold)
+    src, dst, eid = g._half_edges
+    on = mask[eid]
+    flat = (src[on] + 1).tolist()  # active neighbors, grouped by vertex, each group ascending
+    stops = np.cumsum(np.bincount(dst[on], minlength=g.n)).tolist()
+    active_edges = frozenset(compress(g.edge_list, mask.tolist()))
+    return {
+        "active_edges": active_edges,
+        "neighborhoods": tuple(tuple(flat[a:b]) for a, b in zip([0] + stops, stops)),
+        "edge_count": int(np.count_nonzero(mask)),
+        "laplacian": laplacian(Graph(g.n, active_edges)).astype(np.float64),
+        "components": connected_components(g.n, active_edges),
+    }
 
 
 def instances(seed, count):
@@ -167,6 +187,36 @@ class TestKernelMatchesLoops(unittest.TestCase):
         got = step(g, GarbageState(x), Threshold(eps)).values
         self.assertEqual(got.tobytes(), ref_step(g, x, eps).tobytes())
         self.assertEqual(effective_edges(g, GarbageState(x), Threshold(eps)).edge_count, 1)
+
+
+
+class TestActiveTopologyMatchesEagerBuild(unittest.TestCase):
+
+    def test_every_view_matches(self):
+        for k, (g, x, eps) in enumerate(instances(derive_seed(4041, 0), 150)):
+            for s in run(g, GarbageState(x), Threshold(eps), max_steps=3).states:
+                msg = f"instance {k}, t={s.time}: n={g.n} eps={eps!r}"
+                topo = effective_edges(g, s, Threshold(eps))
+                want = ref_active_topology(g, s, eps)
+                self.assertEqual(topo.active_edges, want["active_edges"], msg=msg)
+                self.assertEqual(topo.neighborhoods, want["neighborhoods"], msg=msg)
+                for v in range(1, g.n + 1):
+                    self.assertEqual(topo.neighbors(v), want["neighborhoods"][v - 1], msg=msg)
+                self.assertEqual(topo.edge_count, want["edge_count"], msg=msg)
+                self.assertEqual(topo.degrees, tuple(map(len, want["neighborhoods"])), msg=msg)
+                self.assertEqual(topo.components(), want["components"], msg=msg)
+                L = topo.laplacian()
+                self.assertEqual(L.dtype, np.float64, msg=msg)
+                self.assertEqual(L.tobytes(), want["laplacian"].tobytes(), msg=msg)
+
+    def test_one_active_set_is_one_value(self):
+        p3 = generate_graph("path", 3)
+        a = effective_edges(p3, GarbageState([0.0, 1.0, 5.0]), Threshold(2.0))
+        b = effective_edges(p3, GarbageState([3.0, 3.5, 9.0]), Threshold(2.0))
+        self.assertEqual(a, b)
+        self.assertEqual(hash(a), hash(b))
+        self.assertEqual(a, ActiveTopology(3, frozenset({(1, 2)})))
+        self.assertNotEqual(a, effective_edges(p3, GarbageState([0.0, 1.0, 2.0]), Threshold(2.0)))
 
 
 if __name__ == "__main__":
