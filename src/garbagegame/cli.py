@@ -31,7 +31,6 @@ from .dynamics import (
     GarbageState,
     Threshold,
     Trajectory,
-    _same_bits,
     effective_edges,
     run,
     step,
@@ -82,21 +81,22 @@ def to_json(value: Any) -> str:
 def trajectory_csv(traj: Trajectory) -> str:
     """Per-step CSV: t, x_1..x_n, energy, active edge count, max difference.
 
-    A row whose state has the bits of the state 1 or 2 rows back, and which
-    carries that row's diagnostics object (as run's periodic tail does), reuses
-    that row's text after t; only t is formatted again."""
+    A row whose values array and diagnostics object are those of the row 1 or
+    2 back (as in run's periodic tail) reuses that row's text after t; only t
+    is formatted again."""
     n = traj.graph.n
     header = "t," + ",".join(f"x_{i}" for i in range(1, n + 1)) + ",z,active_edges,max_diff"
     lines = [header]
-    recent = []  # the last two rows' states, diagnostics objects and text after t
+    recent = []  # the last two rows' values arrays, diagnostics objects and text after t
     for state, diag in zip(traj.states, traj.diagnostics):
-        rest = next((text for prev, d, text in recent if d is diag and _same_bits(prev, state)), None)
+        rest = next((text for x, d, text in recent if x is state.values and d is diag), None)
         if rest is None:
             xs = ",".join(format_float(v) for v in state.values.tolist())
             rest = f"{xs},{format_float(diag.z)},{diag.active_edges},{format_float(diag.max_diff)}"
-        recent = [*recent[-1:], (state, diag, rest)]
+        recent = [*recent[-1:], (state.values, diag, rest)]
         lines.append(f"{state.time},{rest}")
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, without copying the joined text again
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +229,9 @@ def _suite_hull(rng, lo, hi) -> list[str]:
 def _suite_equivalence(rng, lo, hi) -> list[str]:
     g, s, eps = _random_instance(rng, lo, hi)
     out = []
-    for a in _short_run(g, s, eps, steps=5):
-        direct = step(g, a, eps).values
+    states = _short_run(g, s, eps, steps=6)
+    for a, b in zip(states, states[1:]):
+        direct = b.values
         A = transition_matrix(g, a, eps)
         via_matrix = A @ a.values
         if float(np.max(np.abs(via_matrix - direct))) > 1e-12:
@@ -320,17 +321,15 @@ def run_verify(suite: str, trials: int, seed: int, size_lo: int, size_hi: int) -
 def validate_trajectory(traj: Trajectory) -> None:
     """Re-check each distinct step on an emitted trajectory: it reproduces bit
     for bit, conserves the total and stays in the hull; raises on the first
-    violation.  All three checks depend only on the bits of the two states, so
-    a pair with the bits of the pair 1 or 2 steps back, which already passed,
-    is not checked again."""
+    violation.  All three checks depend only on the two states' values, so a
+    pair whose values arrays are those of the pair 1 or 2 steps back (as in
+    run's periodic tail), which already passed, is not checked again."""
     g = traj.graph
-    states = traj.states
-    for k in range(1, len(states)):
-        a, b = states[k - 1], states[k]
-        if any(
-            k - p >= 1 and _same_bits(states[k - 1 - p], a) and _same_bits(states[k - p], b) for p in (1, 2)
-        ):
+    x = [s.values for s in traj.states]
+    for k in range(1, len(x)):
+        if any(k > p and x[k - 1 - p] is x[k - 1] and x[k - p] is x[k] for p in (1, 2)):
             continue
+        a, b = traj.states[k - 1], traj.states[k]
         if not np.array_equal(step(g, a, traj.threshold).values, b.values):
             raise CliError(f"trajectory mismatch: step from t={a.time} does not reproduce t={b.time}")
         message = conservation_violation(g, a, b) or hull_violation(a, b)

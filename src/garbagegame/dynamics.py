@@ -157,13 +157,6 @@ class Trajectory:
         return np.stack([s.values for s in self.states])
 
 
-def _same_bits(a: GarbageState, b: GarbageState) -> bool:
-    """Bitwise equality of two states' amounts: -0.0 and +0.0 differ, unlike
-    under float ==.  step and the per-state diagnostics depend only on these
-    bits, so equal bits give equal successors and equal diagnostics."""
-    return a.values is b.values or a.values.tobytes() == b.values.tobytes()
-
-
 def _check_compatible(g: Graph, s: GarbageState) -> None:
     if s.n != g.n:
         raise ValueError(f"state has {s.n} entries but graph has {g.n} vertices")
@@ -272,11 +265,11 @@ def run(
     social edge is active (the post-threshold regime); oscillation on a
     proper subgraph is never reported as converged.
 
-    Once a new state has the bits of the state 1 or 2 steps back, the rest of
-    the run is that periodic orbit: its states already failed the stop test,
-    so the remaining steps up to max_steps are filled by cycling the last
-    period's states (re-timed, sharing their values) and their diagnostics,
-    without stepping.
+    Once a new state has the bits of the state 1 or 2 steps back (-0.0 and
+    +0.0 differ), the rest of the run is that periodic orbit: its states
+    already failed the stop test, so the remaining steps up to max_steps are
+    filled by cycling the last period's states (re-timed, sharing their values
+    arrays) and their diagnostics objects, without stepping.
     """
     threshold = as_threshold(eps)
     _check_compatible(g, s0)
@@ -292,7 +285,8 @@ def run(
         if len(states) > max_steps or (diags[-1].max_diff <= convergence_tol and m == g.edge_count):
             break
         nxt = GarbageState(x_next, time=cur.time + 1)
-        period = next((p for p in (1, 2) if p <= len(states) and _same_bits(states[-p], nxt)), 0)
+        bits = nxt.values.tobytes()
+        period = next((p for p in (1, 2) if p <= len(states) and states[-p].values.tobytes() == bits), 0)
         if period:
             cycle = list(zip(states[-period:], diags[-period:]))
             for k, t in enumerate(range(nxt.time, s0.time + max_steps + 1)):

@@ -91,7 +91,7 @@ class Graph:
 
     @property
     def max_degree(self) -> int:
-        return max(self.degrees) if self.n else 0
+        return max(self.degrees)
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -247,14 +247,7 @@ def is_star(g: Graph) -> bool:
 
     A single edge on two vertices is a star; a single vertex is not.
     """
-    if g.n < 2:
-        return False
-    degs = g.degrees
-    center_count = sum(1 for d in degs if d == g.n - 1)
-    leaf_count = sum(1 for d in degs if d == 1)
-    if g.n == 2:
-        return center_count == 2  # one edge: both endpoints have degree 1 = n-1
-    return center_count == 1 and leaf_count == g.n - 1
+    return g.n >= 2 and sorted(g.degrees) == [1] * (g.n - 1) + [g.n - 1]
 
 
 def laplacian(g: Graph) -> np.ndarray:

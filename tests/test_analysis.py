@@ -1,5 +1,8 @@
 import math
 import unittest
+from unittest import mock
+
+from garbagegame import analysis, dynamics
 
 from garbagegame.analysis import (
     conservation_violation,
@@ -276,6 +279,18 @@ class TestConvergenceReport(unittest.TestCase):
         self.assertTrue(report.converged)
         self.assertEqual(report.steps_run, 0)
         self.assertEqual(report.limit_estimate, 7.0)
+
+    def test_reads_the_diagnostics_without_a_kernel_pass(self):
+        def no_pass(*args, **kwargs):
+            raise AssertionError("convergence_report made a kernel pass")
+
+        locked = run(P3, GarbageState([0.0, 1.0, 5.0]), Threshold(2.0), max_steps=50)
+        converging = run(C4, GarbageState([0.0, 1.0, 2.0, 3.0]), Threshold.infinite())
+        with mock.patch.object(analysis, "effective_edges", no_pass), \
+                mock.patch.object(analysis, "_active", no_pass), mock.patch.object(analysis, "_advance", no_pass), \
+                mock.patch.object(dynamics, "_active", no_pass):
+            self.assertFalse(convergence_report(locked).converged)
+            self.assertTrue(convergence_report(converging).converged)
 
     def test_errors(self):
         g = Graph(2, frozenset({(1, 2)}))

@@ -232,6 +232,14 @@ class TestValidate(unittest.TestCase):
             validate_trajectory(traj)
         self.assertIn("step from t=39 does not reproduce t=40", str(ctx.exception))
 
+    def test_shared_array_at_the_wrong_time_is_caught(self):
+        # t=40 shares the array of the orbit's other state: sharing alone must not skip the pair
+        traj = run(generate_graph("path", 3), GarbageState([0.0, 1.0, 5.0]), Threshold(2.0), max_steps=50)
+        traj.states[40] = GarbageState._retimed(traj.states[41], 40)
+        with self.assertRaises(CliError) as ctx:
+            validate_trajectory(traj)
+        self.assertIn("step from t=39 does not reproduce t=40", str(ctx.exception))
+
 
 class TestVerify(unittest.TestCase):
 

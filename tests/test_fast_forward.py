@@ -16,7 +16,7 @@ import unittest
 from unittest import mock
 
 from garbagegame import cli, dynamics
-from garbagegame.analysis import lyapunov_z
+from garbagegame.analysis import convergence_report, lyapunov_z
 from garbagegame.cli import trajectory_csv, validate_trajectory
 from garbagegame.dynamics import GarbageState, StepDiagnostics, Threshold, Trajectory, effective_edges, run, step
 from garbagegame.graph import Graph, generate_graph, random_connected_graph
@@ -63,6 +63,34 @@ def tail_period(traj):
     if len(bits) == 3 and bits[-1] == bits[-3]:
         return 2
     return 0
+
+
+def seeded_instances():
+    """(label, graph, initial state, threshold) for 60 seeded runs: converged,
+    threshold-locked and oscillating ones all occur."""
+    rng = Xoshiro256StarStar(derive_seed(4042, 0))
+    for k in range(60):
+        n = 2 + rng.randrange(11)
+        g = random_connected_graph(n, rng)
+        scale = (1.0, 1e3, 1e12)[rng.randrange(3)]
+        x = [scale * rng.random() for _ in range(n)]
+        pick = rng.randrange(3)
+        if pick == 0:
+            u, v = g.edge_list[rng.randrange(g.edge_count)]
+            eps = abs(x[u - 1] - x[v - 1]) or scale  # a tie on this edge
+        elif pick == 1:
+            eps = (0.05 + 0.5 * rng.random()) * scale
+        else:
+            eps = float("inf")
+        yield f"instance {k}", g, GarbageState(x), Threshold(eps)
+
+
+def copied(traj):
+    """The same trajectory with every values array and diagnostics object a
+    bit-equal copy, so nothing is shared."""
+    states = [GarbageState(s.values.copy(), time=s.time) for s in traj.states]
+    diags = [StepDiagnostics(d.z, d.active_edges, d.max_diff) for d in traj.diagnostics]
+    return Trajectory(graph=traj.graph, threshold=traj.threshold, states=states, diagnostics=diags)
 
 
 def counting(calls, real):
@@ -131,24 +159,22 @@ class TestMatchesPlainLoop(unittest.TestCase):
         self.assertEqual([s.time for s in traj.states], list(range(7, 28)))
 
     def test_seeded_instances(self):
-        rng = Xoshiro256StarStar(derive_seed(4042, 0))
         periods = set()
-        for k in range(60):
-            n = 2 + rng.randrange(11)
-            g = random_connected_graph(n, rng)
-            scale = (1.0, 1e3, 1e12)[rng.randrange(3)]
-            x = [scale * rng.random() for _ in range(n)]
-            pick = rng.randrange(3)
-            if pick == 0:
-                u, v = g.edge_list[rng.randrange(g.edge_count)]
-                eps = abs(x[u - 1] - x[v - 1]) or scale  # a tie on this edge
-            elif pick == 1:
-                eps = (0.05 + 0.5 * rng.random()) * scale
-            else:
-                eps = float("inf")
-            traj = self.assert_same_run(g, GarbageState(x), Threshold(eps), 400, msg=f"instance {k}")
+        for label, g, s0, threshold in seeded_instances():
+            traj = self.assert_same_run(g, s0, threshold, 400, msg=label)
             periods.add(tail_period(traj))
         self.assertEqual(periods, {0, 1, 2})  # converged, locked and oscillating runs all occur
+
+    def test_report_converged_is_the_stop_test(self):
+        # the plain loop's stop test on its final state, from public functions only
+        verdicts = set()
+        for label, g, s0, threshold in seeded_instances():
+            want = plain_run(g, s0, threshold, 400)
+            d = diagnose(g, want.final_state, threshold)
+            stopped = d.max_diff <= 1e-9 and d.active_edges == g.edge_count
+            self.assertEqual(convergence_report(run(g, s0, threshold, max_steps=400)).converged, stopped, msg=label)
+            verdicts.add(stopped)
+        self.assertEqual(verdicts, {False, True})
 
 
 class TestBitwiseNotValuePeriodicity(unittest.TestCase):
@@ -198,6 +224,17 @@ class TestStepCalls(unittest.TestCase):
         with mock.patch.object(dynamics, "_advance", counting(advances, dynamics._advance)):
             traj = run(generate_graph("cycle", 6), GarbageState([0.0, 2.0, 4.0, 6.0, 8.0, 10.0]), Threshold(8.0))
         self.assertEqual(advances, [s.time for s in traj.states])  # the last state's pass included
+
+    def test_bit_equal_copies_are_replayed_to_the_same_output(self):
+        # a trajectory run did not build: nothing is shared, so every pair is replayed
+        for g, x in ((P3, [0.0, 1.0, 5.0]), (generate_graph("path", 4), [0.0, 1.0, 10.0, 11.0])):
+            traj = run(g, GarbageState(x), Threshold(2.0), max_steps=60)
+            self.assertIs(traj.states[-1].values, traj.states[-3].values)  # a fast-forwarded tail
+            steps = []
+            with mock.patch.object(cli, "step", counting(steps, dynamics.step)):
+                validate_trajectory(copied(traj))
+            self.assertEqual(trajectory_csv(copied(traj)), trajectory_csv(traj))
+            self.assertEqual(steps, [s.time for s in traj.states[:-1]])
 
     def test_tail_states_share_values(self):
         traj = run(P3, GarbageState([0.0, 1.0, 5.0]), Threshold(2.0), max_steps=50)

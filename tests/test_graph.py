@@ -1,3 +1,4 @@
+import itertools
 import unittest
 
 import numpy as np
@@ -183,6 +184,25 @@ class TestStructureQueries(unittest.TestCase):
         self.assertFalse(is_star(Graph(2)))
         self.assertFalse(is_star(generate_graph("path", 4)))
         self.assertFalse(is_star(generate_graph("cycle", 4)))
+
+    def test_is_star_matches_the_counting_rule(self):
+        def counting_rule(g):  # one vertex of degree n - 1, the other n - 1 of degree 1
+            if g.n < 2:
+                return False
+            center_count = sum(1 for d in g.degrees if d == g.n - 1)
+            leaf_count = sum(1 for d in g.degrees if d == 1)
+            if g.n == 2:
+                return center_count == 2  # one edge: both endpoints have degree 1 = n-1
+            return center_count == 1 and leaf_count == g.n - 1
+
+        graphs = 0
+        for n in range(1, 6):
+            pairs = list(itertools.combinations(range(1, n + 1), 2))
+            for picks in itertools.product((False, True), repeat=len(pairs)):
+                g = Graph(n, frozenset(itertools.compress(pairs, picks)))
+                self.assertEqual(is_star(g), counting_rule(g), msg=sorted(g.edges))
+                graphs += 1
+        self.assertEqual(graphs, 1099)  # every labelled graph with n <= 5
 
     def test_star_implies_connected(self):
         rng = Xoshiro256StarStar(31)
