@@ -17,7 +17,7 @@ s0 = GarbageState([0.0, 1.0, 5.0])
 
 print("epsilon = 2: the far agent is cut off")
 topo = effective_edges(p3, s0, Threshold(2.0))
-print(f"  active edges at t=0: {sorted(topo.active_edges)}")
+print(f"  active edges at t=0: {sorted(topo.edges)}")
 print(f"  components:          {sorted(topo.components(), key=min)}")
 
 traj = run(p3, s0, Threshold(2.0), max_steps=8)

@@ -31,6 +31,7 @@ from .dynamics import (
     GarbageState,
     Threshold,
     Trajectory,
+    _active,
     effective_edges,
     run,
     step,
@@ -215,7 +216,7 @@ def _suite_triviality(rng, lo, hi) -> list[str]:
         if is_trivial(a, vertices, delta) and not is_trivial(b, vertices, delta + slack):
             out.append(f"delta-triviality lost at t={a.time} for delta={delta!r}")
         if a.max_pairwise_diff() <= eps.epsilon:
-            if effective_edges(g, b, eps).edge_count != g.edge_count:
+            if not _active(g, b, eps.epsilon)[1].all():
                 out.append(f"active graph shrank after threshold-trivial state at t={a.time}")
     return out
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import compress
 
 import numpy as np
 
@@ -98,16 +97,7 @@ class GarbageState:
 
 
 class ActiveTopology(Graph):
-    """Active subgraph at one time step: the social graph's n vertices and its
-    active edges."""
-
-    @property
-    def active_edges(self) -> frozenset[tuple[int, int]]:
-        return self.edges
-
-    @property
-    def neighborhoods(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(self.neighbors(v) for v in range(1, self.n + 1))
+    """Active subgraph at one time step: the social graph's n vertices and its active edges."""
 
     def laplacian(self) -> np.ndarray:
         """Laplacian of the active graph as a float matrix."""
@@ -115,7 +105,7 @@ class ActiveTopology(Graph):
 
     def components(self) -> list[frozenset[int]]:
         """Connected components of the active graph (isolated vertices included)."""
-        return connected_components(self.n, self.edges)
+        return connected_components(self.n, self.edge_list)
 
 
 @dataclass(frozen=True)
@@ -204,7 +194,7 @@ def effective_edges(g: Graph, s: GarbageState, eps: "Threshold | float") -> Acti
     """The active subgraph on g's vertices: the social edges whose endpoint
     amounts differ by at most the threshold (inclusive comparison)."""
     _, mask = _active(g, s, as_threshold(eps).epsilon)
-    return ActiveTopology(g.n, frozenset(compress(g.edge_list, mask.tolist())))
+    return ActiveTopology(g.n, np.column_stack(g._ends)[mask] + 1)
 
 
 def transition_matrix(g: Graph, s: GarbageState, eps: "Threshold | float") -> np.ndarray:

@@ -1,9 +1,10 @@
 """Undirected simple social graphs: construction, parsing, generation, queries.
 
-Vertices are the integers 1..n.  Edges are unordered pairs stored canonically
-as (min, max) tuples.  The numeric kernels read one array form, built once per
-graph: 0-based endpoint arrays ``eu < ev`` in lexicographic edge order, and the
-half-edges ``(src, dst, edge id)`` sorted by ``(dst, src)``.  These orders are
+Vertices are the integers 1..n.  A graph stores its edges once, validated at
+construction, as 0-based endpoint arrays ``eu < ev`` in lexicographic edge
+order; the (min, max) tuples of ``edge_list`` and ``edges`` are derived on
+demand.  The kernels read the arrays and the half-edges ``(src, dst, edge id)``
+sorted by ``(dst, src)``.  These orders are
 the summation-order contract: a per-vertex sum over the half-edges ascends in
 neighbor id, and an energy sum runs sequentially in edge order, so every
 result is reproducible to the bit.
@@ -11,7 +12,6 @@ result is reproducible to the bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
@@ -26,41 +26,53 @@ class GraphError(ValueError):
     """Invalid graph structure or unparsable edge-list input."""
 
 
-@dataclass(frozen=True)
 class Graph:
-    """Immutable undirected simple graph on vertices 1..n.
+    """Immutable undirected simple graph on vertices 1..n, equal by class and edge set.
 
-    ``edges`` may be given as any iterable of vertex pairs; it is normalised
-    to a frozenset of (min, max) tuples.  Self-loops and out-of-range
-    endpoints are rejected.
+    ``edges``: any iterable of vertex pairs or an (m, 2) integer array.  Pairs
+    are normalised to (min, max) and repeats merged; self-loops, out-of-range
+    or non-integer endpoints, and rows that are not pairs are rejected.
     """
 
-    n: int
-    edges: frozenset[tuple[int, int]] = frozenset()
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]] | np.ndarray = ()) -> None:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+            raise GraphError(f"vertex count must be a positive integer, got {n!r}")
+        try:  # an empty iterable is 0 x 2
+            pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges) or np.empty((0, 2), int))
+        except ValueError:  # rows of unequal length
+            raise GraphError("edges must be integer vertex pairs, got rows of unequal length") from None
+        if pairs.ndim != 2 or pairs.shape[1] != 2 or not np.issubdtype(pairs.dtype, np.integer):
+            raise GraphError(f"edges must be integer vertex pairs, got shape {pairs.shape}, dtype {pairs.dtype}")
+        lo, hi = np.minimum(*pairs.T), np.maximum(*pairs.T)
+        if (bad := (lo == hi) | (lo < 1) | (hi > n)).any():
+            a, b = pairs[np.argmax(bad)].tolist()  # the first bad pair in input order
+            raise GraphError(f"self-loop at vertex {a}" if a == b else f"edge ({a}, {b}) has an endpoint outside 1..{n}")
+        # stable: the timsort that _half_edges' lexsort loads anyway; the default sort maps ~0.25 MB more code
+        keys = np.sort((lo.astype(np.intp) - 1) * n + (hi.astype(np.intp) - 1), kind="stable")
+        ends = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)  # repeated pairs merged
+        vars(self).update(n=n, _ends=ends)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
-            raise GraphError(f"vertex count must be a positive integer, got {self.n!r}")
-        canonical = set()
-        for edge in self.edges:
-            u, v = edge
-            u, v = int(u), int(v)
-            if u == v:
-                raise GraphError(f"self-loop at vertex {u}")
-            if not (1 <= u <= self.n and 1 <= v <= self.n):
-                raise GraphError(f"edge ({u}, {v}) has an endpoint outside 1..{self.n}")
-            canonical.add((u, v) if u < v else (v, u))
-        object.__setattr__(self, "edges", frozenset(canonical))
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and self.n == other.n and all(map(np.array_equal, self._ends, other._ends))
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.edges))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(n={self.n!r}, edges={self.edges!r})"
 
     @cached_property
     def edge_list(self) -> tuple[tuple[int, int], ...]:
-        """Edges in canonical (lexicographic) order."""
-        return tuple(sorted(self.edges))
+        """Edges as (min, max) tuples in lexicographic order."""
+        return tuple(zip((self._ends[0] + 1).tolist(), (self._ends[1] + 1).tolist()))
 
     @cached_property
-    def _ends(self) -> tuple[np.ndarray, np.ndarray]:
-        """0-based endpoint arrays eu < ev, one entry per edge in lexicographic order."""
-        return tuple(np.array(self.edge_list, dtype=np.intp).reshape(-1, 2).T.copy() - 1)
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """Edges as (min, max) tuples, set-built in lexicographic order so that repr depends on the set alone."""
+        return frozenset(set(self.edge_list))
 
     @cached_property
     def _half_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -73,7 +85,7 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return int(self._ends[0].size)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         if not (1 <= v <= self.n):
@@ -135,7 +147,7 @@ def parse_edge_list(text: str) -> Graph:
         edges.add(key)
     if n is None:
         raise GraphError("missing header line 'n <count>'")
-    return Graph(n, frozenset(edges))
+    return Graph(n, edges)
 
 
 def render_edge_list(g: Graph) -> str:
@@ -181,29 +193,26 @@ def generate_graph(kind: str, order: int, p: float | None = None, seed: int = 0)
         edges = _pairs_below(order, Xoshiro256StarStar(seed), p)
     else:
         raise GraphError(f"unknown graph kind {kind!r}; expected one of {GRAPH_KINDS}")
-    return Graph(order, frozenset(edges))
+    return Graph(order, edges)
 
 
-def _pairs_below(order: int, rng: Xoshiro256StarStar, p: float) -> list[tuple[int, int]]:
-    """The vertex pairs (u, v), u < v, whose draw is below p: one draw per pair
-    in lexicographic pair order, the next order*(order-1)/2 of the stream."""
+def _pairs_below(order: int, rng: Xoshiro256StarStar, p: float) -> np.ndarray:
+    """The vertex pairs (u, v), u < v, whose draw is below p, as rows: one draw per
+    pair in lexicographic pair order, the next order*(order-1)/2 of the stream."""
     index = np.flatnonzero(rng.below(order * (order - 1) // 2, p))
     row_len = np.arange(order - 1, 0, -1)  # pairs (u, .) for u = 1..order-1
     row_start = np.cumsum(row_len) - row_len
     u = np.searchsorted(row_start, index, side="right")  # 1-based
     v = index - row_start[u - 1] + u + 1
-    return list(zip(u.tolist(), v.tolist()))
+    return np.column_stack((u, v))
 
 
 def random_connected_graph(order: int, rng: Xoshiro256StarStar, extra_edge_prob: float = 0.3) -> Graph:
     """Random connected graph: a random recursive tree plus independent extra
     edges with the given probability."""
-    edges = set()
-    for v in range(2, order + 1):
-        parent = 1 + rng.randrange(v - 1)
-        edges.add((parent, v))
-    edges.update(_pairs_below(order, rng, extra_edge_prob))
-    return Graph(order, frozenset(edges))
+    parents = np.array([1 + rng.randrange(v - 1) for v in range(2, order + 1)], dtype=np.intp)
+    tree = np.column_stack((parents, np.arange(2, order + 1)))
+    return Graph(order, np.concatenate((tree, _pairs_below(order, rng, extra_edge_prob))))
 
 
 def random_connected_nonstar_graph(order: int, rng: Xoshiro256StarStar) -> Graph:

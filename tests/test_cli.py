@@ -8,6 +8,7 @@ import sys
 import tempfile
 import unittest
 import warnings
+from unittest import mock
 from pathlib import Path
 
 from garbagegame.cli import CliError, main, run_verify, to_json, trajectory_csv, validate_trajectory
@@ -285,6 +286,14 @@ class TestVerify(unittest.TestCase):
         code, _, err = run_cli(["verify", "--suite", "lyapunov", "--trials", "2",
                                 "--sizes", "5:3"])
         self.assertEqual(code, 1)
+
+    def test_triviality_suite_builds_no_topology(self):
+        # whether every social edge stayed active is read from the kernel's mask
+        def no_topology(*args, **kwargs):
+            raise AssertionError("the triviality suite built an active topology")
+
+        with mock.patch("garbagegame.cli.effective_edges", no_topology):
+            self.assertTrue(run_verify("triviality", 20, 1, 3, 30)["passed"])
 
     def test_report_is_deterministic(self):
         args = ("lyapunov", 10, 7, 3, 8)

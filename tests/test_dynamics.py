@@ -100,18 +100,18 @@ class TestEffectiveEdges(unittest.TestCase):
 
     def test_p3_wide_threshold(self):
         topo = effective_edges(P3, GarbageState([0.0, 3.0, 6.0]), Threshold(10.0))
-        self.assertEqual(topo.active_edges, frozenset({(1, 2), (2, 3)}))
+        self.assertEqual(topo.edges, frozenset({(1, 2), (2, 3)}))
         self.assertEqual(topo.edge_count, 2)
         self.assertEqual(topo.neighbors(2), (1, 3))
 
     def test_p3_tight_threshold(self):
         topo = effective_edges(P3, GarbageState([0.0, 3.0, 6.0]), Threshold(2.0))
         self.assertEqual(topo.edge_count, 0)
-        self.assertEqual(topo.active_edges, frozenset())
+        self.assertEqual(topo.edges, frozenset())
 
     def test_p3_single_active_edge(self):
         topo = effective_edges(P3, GarbageState([0.0, 1.0, 5.0]), Threshold(2.0))
-        self.assertEqual(topo.active_edges, frozenset({(1, 2)}))
+        self.assertEqual(topo.edges, frozenset({(1, 2)}))
 
     def test_boundary_is_inclusive(self):
         topo = effective_edges(P3, GarbageState([0.0, 3.0, 6.0]), Threshold(3.0))
@@ -120,7 +120,7 @@ class TestEffectiveEdges(unittest.TestCase):
     def test_infinite_threshold_activates_everything(self):
         g = generate_graph("erdos_renyi", 10, p=0.4, seed=3)
         s = GarbageState([float(i) for i in range(10)])
-        self.assertEqual(effective_edges(g, s, Threshold.infinite()).active_edges, g.edges)
+        self.assertEqual(effective_edges(g, s, Threshold.infinite()).edges, g.edges)
 
     def test_components(self):
         # middle edge of P4 inactive: two two-vertex components
@@ -185,7 +185,7 @@ class TestTransitionMatrix(unittest.TestCase):
                 continue
             A = transition_matrix(g, s, eps)
             w = 1.0 / topo.edge_count
-            for u, v in topo.active_edges:
+            for u, v in topo.edges:
                 self.assertEqual(A[u - 1, v - 1], w)
                 self.assertEqual(A[v - 1, u - 1], w)
 

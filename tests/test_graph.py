@@ -37,6 +37,19 @@ class TestGraphType(unittest.TestCase):
         with self.assertRaises(GraphError):
             Graph(3, frozenset({(0, 2)}))
 
+    def test_rejects_non_integer_endpoints(self):
+        # (1.5, 2) used to be truncated to the edge (1, 2)
+        for edges in ([(1.5, 2)], np.array([[1.0, 2.0]]), [("1", "2")]):
+            with self.assertRaisesRegex(GraphError, "integer vertex pairs", msg=repr(edges)):
+                Graph(3, edges)
+
+    def test_rejects_rows_that_are_not_pairs(self):
+        # a (2, 3) array is two rows of three, not three pairs
+        not_pairs = ([(1, 2, 3)], [(1, 2), (2, 3, 1)], [(1, 2), (3,)], [()], np.array([1, 2]), [[1, 2, 3], [1, 2, 3]])
+        for edges in not_pairs:
+            with self.assertRaisesRegex(GraphError, "integer vertex pairs", msg=repr(edges)):
+                Graph(3, edges)
+
     def test_rejects_nonpositive_order(self):
         with self.assertRaises(GraphError):
             Graph(0)

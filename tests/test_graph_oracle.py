@@ -1,16 +1,76 @@
-"""Oracle for the graph builders that draw one value per vertex pair.
+"""Oracles for graph construction.
 
-The reference functions below are the nested per-pair loops that the
+``ref_canonical_edges`` is the per-edge tuple loop that built every graph's
+edge set before the validated endpoint arrays became the stored form; the
+graphs must give the same edge views, arrays, repr, hash and error texts.
+
+The reference builders below it are the nested per-pair loops that the
 vectorized draw (``Xoshiro256StarStar.below``) replaced, kept here in their
 original draw order.  The builders must give the same edge sets and leave
 the generator at the same point of its stream.
 """
 
+import os
+import subprocess
+import sys
 import tracemalloc
 import unittest
+from pathlib import Path
 
-from garbagegame.graph import Graph, generate_graph, random_connected_graph
+import numpy as np
+
+from garbagegame.dynamics import ActiveTopology
+from garbagegame.graph import Graph, GraphError, generate_graph, random_connected_graph
 from garbagegame.rng import Xoshiro256StarStar, derive_seed
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def ref_canonical_edges(n, edges):
+    """The tuple loop: validate each pair in input order, then keep the set of
+    (min, max) tuples."""
+    canonical = set()
+    for edge in edges:
+        u, v = edge
+        u, v = int(u), int(v)
+        if u == v:
+            raise GraphError(f"self-loop at vertex {u}")
+        if not (1 <= u <= n and 1 <= v <= n):
+            raise GraphError(f"edge ({u}, {v}) has an endpoint outside 1..{n}")
+        canonical.add((u, v) if u < v else (v, u))
+    return frozenset(canonical)
+
+
+def ref_arrays(edges):
+    """The endpoint arrays and half-edges as they were derived from the edge set."""
+    eu, ev = np.array(sorted(edges), dtype=np.intp).reshape(-1, 2).T.copy() - 1
+    ids = np.arange(eu.size)
+    src, dst, eid = np.concatenate((eu, ev)), np.concatenate((ev, eu)), np.concatenate((ids, ids))
+    order = np.lexsort((src, dst))
+    return (eu, ev), (src[order], dst[order], eid[order])
+
+
+def random_pairs(rng, n):
+    """Seeded pairs on 1..n: some reversed, and some repeated in both orders."""
+    pairs = []
+    for _ in range(rng.randrange(3 * n + 1)):
+        u, v = 1 + rng.randrange(n), 1 + rng.randrange(n)
+        if u != v:
+            pairs.append((u, v))
+            if rng.random() < 0.2:
+                pairs.append((v, u))
+    return pairs
+
+
+def input_forms(pairs):
+    """The same pairs as a list, set, generator, tuple and integer arrays."""
+    yield "list", list(pairs)
+    yield "set", set(pairs)
+    yield "generator", (pair for pair in pairs)
+    yield "tuple", tuple(pairs)
+    if pairs:
+        yield "int64 array", np.array(pairs, dtype=np.int64)
+        yield "uint16 array", np.array(pairs, dtype=np.uint16)
 
 
 def ref_erdos_renyi(order, p, seed):
@@ -73,6 +133,77 @@ class TestRandomConnectedGraph(unittest.TestCase):
                 self.assertEqual(got.edges, want.edges, msg=(order, prob))
                 self.assertEqual([a.next_uint64() for _ in range(4)],
                                  [b.next_uint64() for _ in range(4)], msg=(order, prob))
+
+
+class TestGraphMatchesTupleBuild(unittest.TestCase):
+
+    def test_views_arrays_repr_and_hash(self):
+        rng = Xoshiro256StarStar(derive_seed(7070, 0))
+        for trial in range(300):
+            n = 1 + rng.randrange(25)
+            pairs = random_pairs(rng, n) if trial % 10 else []
+            want = ref_canonical_edges(n, pairs)
+            want_ends, want_half = ref_arrays(want)
+            # the text a tuple-built graph printed for its edges in lexicographic order
+            want_repr = f"Graph(n={n}, edges={ref_canonical_edges(n, sorted(want))!r})"
+            first = None
+            for form, edges in input_forms(pairs):
+                g = Graph(n, edges)
+                msg = f"trial {trial}, {form}: n={n} pairs={pairs}"
+                self.assertEqual(g.edges, want, msg=msg)
+                self.assertEqual(g.edge_list, tuple(sorted(want)), msg=msg)
+                self.assertEqual(g.edge_count, len(want), msg=msg)
+                for got, ref in zip(g._ends + g._half_edges, want_ends + want_half):
+                    self.assertEqual(got.dtype, np.intp, msg=msg)
+                    self.assertEqual(got.tobytes(), ref.tobytes(), msg=msg)
+                self.assertEqual(repr(g), want_repr, msg=msg)
+                self.assertEqual(hash(g), hash((n, want)), msg=msg)
+                first = first or g
+                self.assertEqual(g, first, msg=msg)
+
+    def test_first_bad_pair_gives_the_tuple_loop_error(self):
+        rng = Xoshiro256StarStar(derive_seed(7070, 1))
+        for trial in range(200):
+            n = 2 + rng.randrange(10)
+            pairs = random_pairs(rng, n)
+            for _ in range(1 + rng.randrange(3)):
+                u = 1 + rng.randrange(n)
+                bad = (u, u) if rng.random() < 0.5 else (u, [0, -1, n + 1][rng.randrange(3)])
+                pairs.insert(rng.randrange(len(pairs) + 1), bad[::-1] if rng.random() < 0.5 else bad)
+            with self.assertRaises(GraphError) as want:
+                ref_canonical_edges(n, pairs)
+            for edges in (list(pairs), (pair for pair in pairs), np.array(pairs)):  # forms with an input order
+                msg = f"trial {trial}, {type(edges).__name__}: {pairs}"
+                with self.assertRaises(GraphError, msg=msg) as got:
+                    Graph(n, edges)
+                self.assertEqual(str(got.exception), str(want.exception), msg=msg)
+
+    def test_equality_is_by_class_order_and_edge_set(self):
+        g = Graph(4, [(1, 2), (3, 2)])
+        self.assertEqual(g, Graph(4, np.array([[2, 3], [2, 1], [1, 2]])))
+        self.assertEqual(len({g, Graph(4, {(2, 1), (2, 3)})}), 1)
+        self.assertNotEqual(g, Graph(5, [(1, 2), (2, 3)]))
+        self.assertNotEqual(g, Graph(4, [(1, 2)]))
+        self.assertNotEqual(g, (4, g.edges))
+        self.assertNotEqual(g, ActiveTopology(4, g.edges))
+
+    def test_is_immutable(self):
+        g = Graph(3, [(1, 2)])
+        with self.assertRaises(AttributeError):
+            g.n = 2
+        with self.assertRaises(AttributeError):
+            g.edges = frozenset()
+        self.assertEqual((g.n, g.edges), (3, frozenset({(1, 2)})))
+
+    def test_generation_leaves_numpy_ma_unimported(self):
+        # np.unique imports numpy.ma, which costs about a megabyte of resident memory
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        code = ("import sys; from garbagegame.graph import generate_graph; "
+                "generate_graph('erdos_renyi', 50, p=0.3); print('numpy.ma' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+        self.assertEqual(proc.stdout.strip(), "False")
 
 
 if __name__ == "__main__":
