@@ -6,7 +6,16 @@ common fraction of their load, but only across edges whose endpoint values
 differ by at most a confidence threshold epsilon.  The package simulates
 the resulting column-stochastic dynamics and verifies its structural
 guarantees: conservation, hull contraction, monotone Lyapunov descent,
-and the spectral certificates behind convergence on non-star graphs.
+and the spectral certificates behind convergence to the average.
+
+The paper states convergence for connected graphs that are not stars.
+In this model, without a threshold (epsilon = inf), every connected graph on
+three or more vertices converges, stars included; the only exception is K2
+(= star:2), whose step swaps the two amounts forever.  A finite threshold
+can leave a single active edge that swaps the same way, as on P3 = K_{1,2}
+at epsilon 2: a threshold effect, not a star one.  Open question: whether
+the paper's exclusion of stars belongs to its proof or to an update rule
+that differs from this one; the package does not guess which.
 """
 
 from .analysis import (

@@ -50,6 +50,8 @@ class Graph:
         # stable: the timsort that _half_edges' lexsort loads anyway; the default sort maps ~0.25 MB more code
         keys = np.sort((lo.astype(np.intp) - 1) * n + (hi.astype(np.intp) - 1), kind="stable")
         ends = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)  # repeated pairs merged
+        for a in ends:  # the cached views and half-edges are derived from these
+            a.setflags(write=False)
         vars(self).update(n=n, _ends=ends)
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -81,7 +83,10 @@ class Graph:
         ids = np.arange(eu.size)
         src, dst, eid = np.concatenate((eu, ev)), np.concatenate((ev, eu)), np.concatenate((ids, ids))
         order = np.lexsort((src, dst))
-        return src[order], dst[order], eid[order]
+        half = src[order], dst[order], eid[order]
+        for a in half:
+            a.setflags(write=False)
+        return half
 
     @property
     def edge_count(self) -> int:

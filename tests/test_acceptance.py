@@ -273,6 +273,11 @@ class TestAcceptance(unittest.TestCase):
               f"{worst_col:.3e}")
 
     def test_criterion_8_star_degeneracy(self):
+        # The paper excludes stars from convergence.  In this model the orbit
+        # below is a threshold effect: at eps = inf every connected graph on
+        # n >= 3 vertices converges, stars included, and only K2 oscillates.
+        # Whether the paper's exclusion belongs to its proof or to a different
+        # update rule is an open question.
         p3 = generate_graph("path", 3)
         traj = run(p3, GarbageState([0.0, 1.0, 5.0]), Threshold(2.0), max_steps=50)
         self.assertEqual(traj.steps_run, 50)
@@ -288,8 +293,10 @@ class TestAcceptance(unittest.TestCase):
         for k in range(1, 6):
             self.assertEqual(A[0, k], 0.2)
             self.assertEqual(A[k, k], 0.8)
-        print("criterion 8 (star degeneracy): PASS — exact period-2 orbit for "
-              "50 steps, reported non-converged; star-6 center weight 0")
+        print("criterion 8 (star degeneracy): PASS — P3 = K_{1,2} at eps 2 keeps one "
+              "active edge and swaps it: exact period-2 orbit for 50 steps, reported "
+              "non-converged (a threshold effect; at eps = inf only K2 oscillates, "
+              "tests/test_stars.py); star-6 center weight 0")
 
     def test_criterion_9_byte_identical_outputs(self):
         with tempfile.TemporaryDirectory() as tmp:

@@ -195,6 +195,19 @@ class TestGraphMatchesTupleBuild(unittest.TestCase):
             g.edges = frozenset()
         self.assertEqual((g.n, g.edges), (3, frozenset({(1, 2)})))
 
+    def test_arrays_are_read_only(self):
+        # a write into the endpoint arrays would change degrees, neighbors and
+        # the kernels while the cached edges, edge_list and hash kept the old set
+        for g in (Graph(4, [(1, 2), (3, 4)]), generate_graph("erdos_renyi", 30, 0.2, seed=3)):
+            views = (g.edges, g.edge_list, hash(g))
+            for a in (*g._ends, *g._half_edges):
+                with self.assertRaises(ValueError):
+                    a[1] = 0
+            self.assertEqual((g.edges, g.edge_list, hash(g)), views)
+            self.assertEqual(g.degrees, tuple(sum(v in e for e in g.edges) for v in range(1, g.n + 1)))
+            for v in range(1, g.n + 1):
+                self.assertEqual(g.neighbors(v), tuple(sorted(u for e in g.edges if v in e for u in e if u != v)))
+
     def test_generation_leaves_numpy_ma_unimported(self):
         # np.unique imports numpy.ma, which costs about a megabyte of resident memory
         env = dict(os.environ)

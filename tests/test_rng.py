@@ -1,8 +1,16 @@
+import math
+import os
+import subprocess
+import sys
 import unittest
+from pathlib import Path
 
 import numpy as np
 
-from garbagegame.rng import SplitMix64, Xoshiro256StarStar, _jump, derive_seed
+from garbagegame import rng as rng_module
+from garbagegame.rng import SplitMix64, Xoshiro256StarStar, derive_seed
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 class TestSplitMix64(unittest.TestCase):
@@ -72,8 +80,11 @@ class TestXoshiro(unittest.TestCase):
 class TestBelow(unittest.TestCase):
     """``below`` against the scalar stream of a twin generator."""
 
-    # lane and tail boundaries (k^2 - 1, k^2, k^2 + 1 and k(k + 1) for k = 7) and a prime
+    # small counts, the square 49 and its neighbours, 7 * 8 and a prime
     COUNTS = (0, 1, 2, 3, 48, 49, 50, 56, 97)
+    # (seed, scalar draws made before below), and p inside, at and beyond the ends of [0, 1)
+    STARTS = ((0, 0), (99, 1), (2**64 - 1, 7))
+    PS = (0.0, 1.0, 0.3, 2.0**-60, 1.0 - 2.0**-53, -0.5, 1.5, math.nan)
 
     def check(self, seed, count, ps, skip=0):
         twin = Xoshiro256StarStar(seed)
@@ -87,7 +98,10 @@ class TestBelow(unittest.TestCase):
                 rng.random()
             mask = rng.below(count, p)
             self.assertEqual(mask.dtype, np.bool_)
-            self.assertEqual(mask.tolist(), [d < p for d in draws], msg=(seed, count, p))
+            # array_equal: a list assertEqual diffs all of a failing 499500-draw mask for minutes
+            want = np.array([d < p for d in draws], dtype=bool)
+            self.assertEqual(mask.shape, want.shape, msg=(seed, count, p))
+            self.assertTrue(np.array_equal(mask, want), msg=(seed, count, p, np.flatnonzero(mask != want)[:5]))
             self.assertEqual([rng.next_uint64() for _ in range(4)], after, msg=(seed, count, p))
         return draws
 
@@ -95,6 +109,7 @@ class TestBelow(unittest.TestCase):
         for seed in (0, 1, 99, 2**64 - 1):
             for count in self.COUNTS:
                 self.check(seed, count, (0.0, 0.3, 1.0))
+        self.check(0, np.int64(97), (0.3,))  # any integer type counts
 
     def test_mid_stream_start(self):
         for skip in (1, 5):
@@ -105,27 +120,91 @@ class TestBelow(unittest.TestCase):
         # 1000 * 999 / 2 pairs: the Erdos-Renyi graph of the er_threshold workload
         self.check(0, 499500, (0.0, 0.3, 1.0))
 
+    def test_every_count_p_and_start_against_the_scalar_twin(self):
+        # every lane length and lane count up to 300 draws, and each side of every power of two
+        # up to 2^16, where the lane length and the number of doubling passes change
+        counts = sorted(set(range(301)) | {2**k + d for k in range(1, 17) for d in (-1, 0, 1)})
+        for seed, skip in self.STARTS:
+            draws_twin, outputs_twin = Xoshiro256StarStar(seed), Xoshiro256StarStar(seed)
+            for _ in range(skip):
+                draws_twin.random()
+                outputs_twin.random()
+            draws = np.array([draws_twin.random() for _ in range(counts[-1])])
+            outputs = [outputs_twin.next_uint64() for _ in range(counts[-1] + 4)]
+            for count in counts:
+                for p in self.PS:
+                    rng = Xoshiro256StarStar(seed)
+                    for _ in range(skip):
+                        rng.random()
+                    mask = rng.below(count, p)
+                    self.assertEqual(mask.dtype, np.bool_)
+                    self.assertTrue(np.array_equal(mask, draws[:count] < p), msg=(seed, skip, count, p))
+                    self.assertEqual([rng.next_uint64() for _ in range(4)], outputs[count : count + 4],
+                                     msg=(seed, skip, count, p))
+
     def test_jump_cache_across_counts(self):
-        # counts 50, 97, 50 use lane lengths 8, 11, 8: the second call for 50
-        # reuses the cached jump built by the first
-        counts, p = (50, 97, 50), 0.3
+        # the ladder's rungs are built once and shared: later counts, larger or
+        # smaller, reuse the rung arrays already built, which are read-only
+        counts, p = (50, 97, 3160, 50), 0.3
         for seed in (0, 99):
             twin = Xoshiro256StarStar(seed)
             rng = Xoshiro256StarStar(seed)
-            for count in counts:
+            for k, count in enumerate(counts):
                 want = [twin.random() < p for _ in range(count)]
                 self.assertEqual(rng.below(count, p).tolist(), want, msg=(seed, count))
+                if k == 0:
+                    built = dict(rng_module._LADDER)
             self.assertEqual([rng.next_uint64() for _ in range(4)], [twin.next_uint64() for _ in range(4)])
-        self.assertFalse(_jump(8).flags.writeable)
-        self.assertFalse(_jump(11).flags.writeable)
+        ladder = rng_module._LADDER
+        self.assertTrue(set(range(1, 12)) <= set(ladder))  # 50 draws jump by rungs 1..5, 3160 by 4..11
+        for e, rung in built.items():
+            self.assertIs(ladder[e], rung)
+        for rung in ladder.values():
+            self.assertFalse(rung.flags.writeable)
+        with self.assertRaises(ValueError):
+            ladder[1][0, 0, 0] = 0
+
+    def run_fresh(self, code, *args):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+        return proc.stdout.split("\n")
+
+    FRESH = """
+import hashlib, sys
+from garbagegame import rng
+for count in map(int, sys.argv[1:]):
+    g = rng.Xoshiro256StarStar(count)
+    mask = g.below(count, 0.3)
+    print(count, hashlib.sha256(mask.tobytes()).hexdigest(), g.next_uint64())
+print(sorted(rng._LADDER) == list(range(19)), sum(rung.nbytes for rung in rng._LADDER.values()))
+"""
+
+    def test_masks_do_not_depend_on_the_rungs_already_cached(self):
+        # the benchmark-sized counts (the certify graphs' 120 and 3160 pairs, the
+        # er_threshold graph's 499500), each in a fresh interpreter, in both orders
+        ascending = self.run_fresh(self.FRESH, 120, 3160, 499500)
+        descending = self.run_fresh(self.FRESH, 499500, 3160, 120)
+        self.assertEqual(sorted(ascending[:3]), sorted(descending[:3]))
+        single = [self.run_fresh(self.FRESH, count)[0] for count in (120, 3160)]
+        self.assertEqual(single, ascending[:2])
+        # the ladder holds rungs 0..18 at 8 KB each: a rung per doubling of the
+        # 499500 draws, with no per-count or per-length tables
+        self.assertEqual(ascending[3], "True 155648")
+        self.assertEqual(descending[3], "True 155648")
 
     def test_tie_reads_false(self):
+        # a draw equal to p is not below it; the next double above the draw is,
+        # which a bound rounded down rather than up would miss
         draws = self.check(5, 56, ())
         for k in (0, 23, 55):
-            rng = Xoshiro256StarStar(5)
-            mask = rng.below(56, draws[k])
-            self.assertFalse(mask[k])
-            self.assertEqual(mask.tolist(), [d < draws[k] for d in draws])
+            for p in (draws[k], math.nextafter(draws[k], math.inf)):
+                rng = Xoshiro256StarStar(5)
+                mask = rng.below(56, p)
+                self.assertEqual(mask[k], p > draws[k])
+                self.assertEqual(mask.tolist(), [d < p for d in draws])
 
 
 class TestDeriveSeed(unittest.TestCase):
