@@ -171,6 +171,11 @@ def convergence_report(traj: Trajectory, tol: float = 1e-9) -> ConvergenceReport
     converged is run's stop test on the final diagnostics: the amounts agree
     within tol AND every social edge is active, so threshold-locked
     oscillations are reported honestly.
+
+    Only the trajectory's distinct prefix is read (Trajectory.distinct_length):
+    a periodic tail repeats its states' totals, step-to-step drifts and
+    spreads, so conservation_error and trivialization_time come out as over
+    every state.
     """
     if not traj.states:
         raise ValueError("trajectory has no states")
@@ -178,18 +183,20 @@ def convergence_report(traj: Trajectory, tol: float = 1e-9) -> ConvergenceReport
         raise ValueError(f"tol must be positive, got {tol!r}")
     g = traj.graph
     threshold = traj.threshold
+    k = traj.distinct_length()
+    states, diags = traj.states[:k], traj.diagnostics[:k]
     final = traj.states[-1]
-    totals, unit = _scaled_totals(traj.states)  # a mean is its total / n: numpy's mean, bit for bit
+    # the final state repeats one of the first k, so it changes no overflow decision;
+    # a mean is its total / n: numpy's mean, bit for bit
+    (*totals, final_total), unit = _scaled_totals([*states, final])
     initial_average = totals[0] / g.n * unit
     max_dev = float(np.max(np.abs(final.values - initial_average)))
     conservation_error = max((abs(b - a) for a, b in zip(totals, totals[1:])), default=0.0) * unit
-    trivialization_time = next(
-        (s.time for s, d in zip(traj.states, traj.diagnostics) if d.max_diff <= threshold.epsilon), None
-    )
+    trivialization_time = next((s.time for s, d in zip(states, diags) if d.max_diff <= threshold.epsilon), None)
     last = traj.diagnostics[-1]
     return ConvergenceReport(
         converged=last.max_diff <= tol and last.active_edges == g.edge_count,
-        limit_estimate=totals[-1] / g.n * unit,
+        limit_estimate=final_total / g.n * unit,
         initial_average=initial_average,
         max_deviation_from_average=max_dev,
         trivialization_time=trivialization_time,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -79,25 +79,30 @@ def to_json(value: Any) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def trajectory_csv(traj: Trajectory) -> str:
-    """Per-step CSV: t, x_1..x_n, energy, active edge count, max difference.
-
-    A row whose values array and diagnostics object are those of the row 1 or
-    2 back (as in run's periodic tail) reuses that row's text after t; only t
-    is formatted again."""
+def _csv_pieces(traj: Trajectory) -> Iterator[str]:
+    """The per-step CSV in pieces: the header line, then per row f"{t}," and
+    the text of the rest of the row.  With a recorded periodic tail, a tail
+    row reuses the text of the stored row it repeats (PeriodicList.source)."""
     n = traj.graph.n
-    header = "t," + ",".join(f"x_{i}" for i in range(1, n + 1)) + ",z,active_edges,max_diff"
-    lines = [header]
-    recent = []  # the last two rows' values arrays, diagnostics objects and text after t
-    for state, diag in zip(traj.states, traj.diagnostics):
-        rest = next((text for x, d, text in recent if x is state.values and d is diag), None)
+    yield "t," + ",".join(f"x_{i}" for i in range(1, n + 1)) + ",z,active_edges,max_diff\n"
+    tail = traj.periodic_tail
+    period_rows = {}  # the text after t of the stored rows the tail repeats, by stored index
+    for i, (state, diag) in enumerate(zip(traj.states, traj.diagnostics)):
+        j = traj.states.source(i) if tail else i
+        rest = period_rows.get(j)
         if rest is None:
             xs = ",".join(format_float(v) for v in state.values.tolist())
-            rest = f"{xs},{format_float(diag.z)},{diag.active_edges},{format_float(diag.max_diff)}"
-        recent = [*recent[-1:], (state.values, diag, rest)]
-        lines.append(f"{state.time},{rest}")
-    lines.append("")  # the final newline, without copying the joined text again
-    return "\n".join(lines)
+            rest = f"{xs},{format_float(diag.z)},{diag.active_edges},{format_float(diag.max_diff)}\n"
+            if tail and j >= tail[0]:
+                period_rows[j] = rest
+        yield f"{state.time},"
+        yield rest
+
+
+def trajectory_csv(traj: Trajectory) -> str:
+    """Per-step CSV: t, x_1..x_n, energy, active edge count, max difference.
+    simulate --out writes the same pieces to the file without joining them."""
+    return "".join(_csv_pieces(traj))
 
 
 # ---------------------------------------------------------------------------
@@ -322,15 +327,14 @@ def run_verify(suite: str, trials: int, seed: int, size_lo: int, size_hi: int) -
 def validate_trajectory(traj: Trajectory) -> None:
     """Re-check each distinct step on an emitted trajectory: it reproduces bit
     for bit, conserves the total and stays in the hull; raises on the first
-    violation.  All three checks depend only on the two states' values, so a
-    pair whose values arrays are those of the pair 1 or 2 steps back (as in
-    run's periodic tail), which already passed, is not checked again."""
+    violation.  All three checks depend only on the two states' values, so
+    with a recorded periodic tail only the pairs of the distinct prefix
+    (Trajectory.distinct_length) are replayed: the transient, one period and
+    the pair that wraps round to the period's start.  Without a record, every
+    pair is replayed."""
     g = traj.graph
-    x = [s.values for s in traj.states]
-    for k in range(1, len(x)):
-        if any(k > p and x[k - 1 - p] is x[k - 1] and x[k - p] is x[k] for p in (1, 2)):
-            continue
-        a, b = traj.states[k - 1], traj.states[k]
+    states = traj.states[: traj.distinct_length()]
+    for a, b in zip(states, states[1:]):
         if not np.array_equal(step(g, a, traj.threshold).values, b.values):
             raise CliError(f"trajectory mismatch: step from t={a.time} does not reproduce t={b.time}")
         message = conservation_violation(g, a, b) or hull_violation(a, b)
@@ -366,7 +370,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     summary_text = to_json(summary) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(trajectory_csv(traj))
+            fh.writelines(_csv_pieces(traj))
     if args.summary:
         with open(args.summary, "w", encoding="utf-8", newline="") as fh:
             fh.write(summary_text)

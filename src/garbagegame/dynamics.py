@@ -11,6 +11,8 @@ is conserved.
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -117,14 +119,78 @@ class StepDiagnostics:
     max_diff: float
 
 
+def _retime_state(s: GarbageState, shift: int) -> GarbageState:
+    return GarbageState._retimed(s, s.time + shift)
+
+
+class PeriodicList(Sequence):
+    """A list whose entries from index start on repeat with a period: entry
+    i >= start is stored entry j = source(i), passed through retime(entry j,
+    i - j) (unchanged without retime).  Only the first start + period entries
+    are stored.
+
+    Reads (len, iteration, indexing, slices) see every entry.  Assigning an
+    item first expands the list to plain storage, which drops the tail record,
+    so a consumer that reads the record never trusts an edited tail.
+    """
+
+    def __init__(self, items: list, start: int, period: int, length: int, retime: Callable | None = None) -> None:
+        if not (0 <= start and period >= 1 and len(items) == start + period < length):
+            raise ValueError("a periodic tail needs its transient, one period and at least one repeat")
+        self._items, self._start, self._period, self._length, self._retime = items, start, period, length, retime
+
+    @property
+    def tail(self) -> tuple[int, int] | None:
+        """(start, period) while the tail is recorded; None once expanded."""
+        return (self._start, self._period) if self._period else None
+
+    def __len__(self) -> int:
+        return self._length if self._period else len(self._items)
+
+    def source(self, i: int) -> int:
+        """Index of the stored entry that entry i (0 <= i < len) repeats."""
+        if i < len(self._items):
+            return i
+        return self._start + (i - self._start) % self._period
+
+    def _entry(self, i: int):
+        j = self.source(i)
+        entry = self._items[j]
+        return entry if i == j or self._retime is None else self._retime(entry, i - j)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self._entry(i) for i in range(*index.indices(len(self)))]
+        i = operator.index(index)
+        if not -len(self) <= i < len(self):
+            raise IndexError("periodic list index out of range")
+        return self._entry(i % len(self))
+
+    def __iter__(self) -> Iterator:
+        return (self._entry(i) for i in range(len(self)))
+
+    def __setitem__(self, index, value) -> None:
+        if self._period:
+            self._items, self._period = list(self), 0
+        self._items[index] = value
+
+
 @dataclass
 class Trajectory:
-    """Ordered states of one run plus per-state diagnostics."""
+    """Ordered states of one run plus per-state diagnostics.
+
+    run records a periodic tail instead of storing it: states and diagnostics
+    are then PeriodicLists with the same (start, period), which hold the
+    transient plus one period and make the re-timed tail entries on demand.
+    Consumers read that record (periodic_tail, distinct_length) and handle only
+    the distinct entries.  A trajectory built from plain lists, or one an item
+    was assigned into, has no record and is handled entry by entry.
+    """
 
     graph: Graph
     threshold: Threshold
-    states: list[GarbageState]
-    diagnostics: list[StepDiagnostics] = field(default_factory=list)
+    states: Sequence[GarbageState]
+    diagnostics: Sequence[StepDiagnostics] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if len(self.diagnostics) != len(self.states):
@@ -140,10 +206,29 @@ class Trajectory:
 
     @property
     def steps_run(self) -> int:
-        return len(self.states) - 1
+        return max(len(self.states) - 1, 0)
+
+    @property
+    def periodic_tail(self) -> tuple[int, int] | None:
+        """(start, period) of the tail run recorded, or None: from index start
+        on, states and diagnostics repeat with that period."""
+        states, diags = self.states, self.diagnostics
+        if isinstance(states, PeriodicList) and isinstance(diags, PeriodicList) and states.tail == diags.tail:
+            return states.tail
+        return None
+
+    def distinct_length(self) -> int:
+        """Length of the shortest prefix that holds every distinct entry and
+        every distinct pair of consecutive entries: with a periodic tail, the
+        transient, one period and the entry that wraps round to the period's
+        start; otherwise every entry."""
+        tail = self.periodic_tail
+        return len(self.states) if tail is None else sum(tail) + 1
 
     def values_matrix(self) -> np.ndarray:
-        """States stacked as a (steps+1, n) array, row k = time index k."""
+        """States stacked as a (steps+1, n) array, row k = time index k; (0, n) with no states."""
+        if not self.states:
+            return np.empty((0, self.graph.n))
         return np.stack([s.values for s in self.states])
 
 
@@ -258,8 +343,10 @@ def run(
     Once a new state has the bits of the state 1 or 2 steps back (-0.0 and
     +0.0 differ), the rest of the run is that periodic orbit: its states
     already failed the stop test, so the remaining steps up to max_steps are
-    filled by cycling the last period's states (re-timed, sharing their values
-    arrays) and their diagnostics objects, without stepping.
+    not stepped.  The trajectory records where the orbit starts and its
+    period (see Trajectory.periodic_tail) and stores only the transient plus
+    one period; a tail entry is made on demand, a state re-timed around its
+    period's values array and the period's diagnostics object itself.
     """
     threshold = as_threshold(eps)
     _check_compatible(g, s0)
@@ -278,11 +365,9 @@ def run(
         bits = nxt.values.tobytes()
         period = next((p for p in (1, 2) if p <= len(states) and states[-p].values.tobytes() == bits), 0)
         if period:
-            cycle = list(zip(states[-period:], diags[-period:]))
-            for k, t in enumerate(range(nxt.time, s0.time + max_steps + 1)):
-                s, diag = cycle[k % period]
-                states.append(GarbageState._retimed(s, t))
-                diags.append(diag)
+            start = len(states) - period
+            states = PeriodicList(states, start, period, max_steps + 1, _retime_state)
+            diags = PeriodicList(diags, start, period, max_steps + 1)
             break
         states.append(nxt)
     return Trajectory(graph=g, threshold=threshold, states=states, diagnostics=diags)

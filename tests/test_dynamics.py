@@ -396,7 +396,9 @@ class TestTrajectoryType(unittest.TestCase):
         s0 = GarbageState([0.0, 1.0, 5.0])
         with self.assertRaisesRegex(ValueError, "align one-to-one"):
             Trajectory(graph=P3, threshold=Threshold(2.0), states=[s0, step(P3, s0, Threshold(2.0))])
-        Trajectory(graph=P3, threshold=Threshold(2.0), states=[])  # no states, no diagnostics: valid
+        empty = Trajectory(graph=P3, threshold=Threshold(2.0), states=[])  # no states, no diagnostics: valid
+        self.assertEqual(empty.steps_run, 0)
+        self.assertEqual(empty.values_matrix().shape, (0, 3))
 
 
 if __name__ == "__main__":

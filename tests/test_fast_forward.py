@@ -5,13 +5,15 @@ one diagnosis per state until the stop test or max_steps.  It builds the
 diagnostics from public functions only, so it shares no code path with run's
 fused kernel pass.  A run must agree with it in every state's bytes, every
 time index and every diagnostic's repr, so the CSV and summary bytes cannot
-move.
+move.  run records a periodic tail instead of storing it; its trajectory must
+read like the oracle's plain lists through every sequence operation.
 """
 
 import contextlib
 import io
 import os
 import tempfile
+import tracemalloc
 import unittest
 from unittest import mock
 
@@ -19,7 +21,7 @@ from garbagegame import cli, dynamics
 from garbagegame.analysis import convergence_report, lyapunov_z
 from garbagegame.cli import trajectory_csv, validate_trajectory
 from garbagegame.dynamics import GarbageState, StepDiagnostics, Threshold, Trajectory, effective_edges, run, step
-from garbagegame.graph import Graph, generate_graph, random_connected_graph
+from garbagegame.graph import Graph, generate_graph, random_connected_graph, render_edge_list
 from garbagegame.rng import Xoshiro256StarStar, derive_seed
 
 P3 = generate_graph("path", 3)
@@ -93,6 +95,16 @@ def copied(traj):
     return Trajectory(graph=traj.graph, threshold=traj.threshold, states=states, diagnostics=diags)
 
 
+def locked_cycle16():
+    """A cycle:16 run that locks into a fixed point after a transient of some steps."""
+    rng = Xoshiro256StarStar(derive_seed(11, 1))
+    return generate_graph("cycle", 16), GarbageState([rng.uniform(0.0, 100.0) for _ in range(16)]), Threshold(10.0)
+
+
+def state_key(s):
+    return s.time, s.values.tobytes()
+
+
 def counting(calls, real):
     def counted(*args, **kwargs):
         calls.append(args[1].time)
@@ -113,14 +125,12 @@ class TestMatchesPlainLoop(unittest.TestCase):
             self.assertEqual(a.values.tobytes(), b.values.tobytes(), msg=f"{msg} t={b.time}")
             self.assertEqual(repr(da), repr(db), msg=f"{msg} t={b.time}")
         self.assertEqual(trajectory_csv(got), plain_csv(want), msg=msg)
+        self.assertEqual(repr(convergence_report(got)), repr(convergence_report(want)), msg=msg)
         validate_trajectory(got)
         return got
 
     def test_locked_fixed_point(self):
-        g = generate_graph("cycle", 16)
-        rng = Xoshiro256StarStar(derive_seed(11, 1))
-        s0 = GarbageState([rng.uniform(0.0, 100.0) for _ in range(16)])
-        traj = self.assert_same_run(g, s0, Threshold(10.0), 600)
+        traj = self.assert_same_run(*locked_cycle16(), 600)
         self.assertEqual(tail_period(traj), 1)
 
     def test_p3_orbit(self):
@@ -215,7 +225,8 @@ class TestStepCalls(unittest.TestCase):
             self.assertEqual(advances, [0, 1])  # one pass per distinct state; t=2 repeats t=0
             self.assertEqual(steps, [])
             validate_trajectory(traj)
-            self.assertLessEqual(len(steps), 3)
+            start, period = traj.periodic_tail
+            self.assertLessEqual(len(steps), start + period + 1)  # the transient, one period, the wrap pair
         self.assertEqual(traj.steps_run, 100_000)
         self.assertEqual(traj.final_state.values.tolist(), [0.0, 1.0, 5.0])
 
@@ -236,11 +247,115 @@ class TestStepCalls(unittest.TestCase):
             self.assertEqual(trajectory_csv(copied(traj)), trajectory_csv(traj))
             self.assertEqual(steps, [s.time for s in traj.states[:-1]])
 
+    def test_validate_replays_the_distinct_prefix(self):
+        traj = run(*locked_cycle16(), max_steps=600)
+        start, period = traj.periodic_tail
+        self.assertGreater(start, 0)
+        steps = []
+        with mock.patch.object(cli, "step", counting(steps, dynamics.step)):
+            validate_trajectory(traj)
+        self.assertEqual(steps, [s.time for s in traj.states[: start + period]])
+
     def test_tail_states_share_values(self):
         traj = run(P3, GarbageState([0.0, 1.0, 5.0]), Threshold(2.0), max_steps=50)
         self.assertIs(traj.states[40].values, traj.states[2].values)
         self.assertIs(traj.diagnostics[41], traj.diagnostics[1])
         self.assertFalse(traj.states[40].values.flags.writeable)
+
+
+class TestCompressedTrajectory(unittest.TestCase):
+    """run's trajectory, which records its tail, read against the oracle's plain lists."""
+
+    def cases(self):
+        yield "P3 orbit", P3, GarbageState([0.0, 1.0, 5.0]), Threshold(2.0), 301
+        yield ("locked cycle:16", *locked_cycle16(), 600)
+
+    def assert_same_entries(self, got, want, msg):
+        self.assertEqual([state_key(s) for s in got.states], [state_key(s) for s in want.states], msg=msg)
+        self.assertEqual([repr(d) for d in got.diagnostics], [repr(d) for d in want.diagnostics], msg=msg)
+
+    def test_reads_match_the_plain_loop(self):
+        for label, g, s0, threshold, max_steps in self.cases():
+            got, want = run(g, s0, threshold, max_steps=max_steps), plain_run(g, s0, threshold, max_steps)
+            n = len(want.states)
+            start, period = got.periodic_tail
+            self.assertLess(start + period + 1, n, msg=label)  # most entries are derived, not stored
+            self.assertEqual(got.distinct_length(), start + period + 1, msg=label)
+            self.assertIsNone(want.periodic_tail, msg=label)
+            self.assertEqual(want.distinct_length(), n, msg=label)
+            self.assertEqual((len(got.states), len(got.diagnostics)), (n, n), msg=label)
+            self.assert_same_entries(got, want, label)  # iteration
+            for i in (start + period, start + period + 1, n // 2, n - 1, -1, -2, -n):
+                self.assertEqual(state_key(got.states[i]), state_key(want.states[i]), msg=f"{label} [{i}]")
+                self.assertEqual(repr(got.diagnostics[i]), repr(want.diagnostics[i]), msg=f"{label} [{i}]")
+            for part in (slice(-3, None), slice(None, -1), slice(None, None, 7), slice(start + 1, start + period + 4)):
+                self.assertEqual([state_key(s) for s in got.states[part]],
+                                 [state_key(s) for s in want.states[part]], msg=f"{label} {part}")
+                self.assertEqual([repr(d) for d in got.diagnostics[part]],
+                                 [repr(d) for d in want.diagnostics[part]], msg=f"{label} {part}")
+            for i in (n, -n - 1):
+                with self.assertRaises(IndexError, msg=f"{label} [{i}]"):
+                    got.states[i]
+            matrix = got.values_matrix()
+            self.assertEqual(matrix.shape, (n, g.n), msg=label)
+            self.assertEqual(matrix.tobytes(), want.values_matrix().tobytes(), msg=label)
+
+    def test_assignment_in_the_tail_falls_back_to_plain_storage(self):
+        for label, g, s0, threshold, max_steps in self.cases():
+            want = plain_run(g, s0, threshold, max_steps)
+            for name in ("states", "diagnostics"):
+                traj = run(g, s0, threshold, max_steps=max_steps)
+                entries = getattr(traj, name)
+                entry = entries[-5]
+                entries[-5] = entry  # bit-equal, so every output stays that of the oracle
+                self.assertIsNone(traj.periodic_tail, msg=f"{label} {name}")
+                self.assertIs(entries[-5], entry, msg=f"{label} {name}")
+                self.assertEqual(traj.distinct_length(), len(want.states), msg=f"{label} {name}")
+                self.assert_same_entries(traj, want, f"{label} {name}")
+                steps = []
+                with mock.patch.object(cli, "step", counting(steps, dynamics.step)):
+                    validate_trajectory(traj)
+                self.assertEqual(steps, [s.time for s in want.states[:-1]], msg=f"{label} {name}")
+                self.assertEqual(trajectory_csv(traj), plain_csv(want), msg=f"{label} {name}")
+                self.assertEqual(repr(convergence_report(traj)), repr(convergence_report(want)), msg=f"{label} {name}")
+
+
+class TestStreamedCsv(unittest.TestCase):
+
+    def test_seeded_instances_through_the_cli(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            graph_path, out = os.path.join(tmp, "graph.txt"), os.path.join(tmp, "traj.csv")
+            for label, g, s0, threshold in seeded_instances():
+                with open(graph_path, "w", encoding="utf-8") as fh:
+                    fh.write(render_edge_list(g))
+                init = ",".join(format(v, ".17g") for v in s0.values.tolist())
+                eps = "inf" if threshold.is_infinite else format(threshold.epsilon, ".17g")
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = cli.main(["simulate", "--graph", graph_path, "--init", init, "--epsilon", eps,
+                                     "--max-steps", "400", "--out", out, "--validate"])
+                self.assertEqual(code, 0, msg=label)
+                with open(out, "rb") as fh:
+                    self.assertEqual(fh.read(), plain_csv(plain_run(g, s0, threshold, 400)).encode(), msg=label)
+
+    def test_locked_record_streams_in_little_memory(self):
+        # a threshold-locked cycle:64 run of 10000 steps: about 12 MB of CSV, almost all of it tail rows
+        with tempfile.TemporaryDirectory() as tmp:
+            out = os.path.join(tmp, "traj.csv")
+            argv = ["simulate", "--generate", "cycle:64", "--init-random", "uniform:0:100", "--epsilon", "10",
+                    "--max-steps", "10000", "--out", out, "--validate"]
+            tracemalloc.start()
+            try:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = cli.main(argv)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            self.assertEqual(code, 0)
+            with open(out, "rb") as fh:
+                data = fh.read()
+        s0 = cli.random_uniform_state(64, 0.0, 100.0, seed=derive_seed(0, 1))
+        self.assertEqual(data, trajectory_csv(run(generate_graph("cycle", 64), s0, Threshold(10.0), 10000)).encode())
+        self.assertLess(peak, len(data) / 8)
 
 
 if __name__ == "__main__":
