@@ -2,9 +2,10 @@
 Convergence to the initial average
 ==================================
 
-On a connected graph that is not a star, every agent's garbage amount
-converges to the average of the initial amounts.  This script runs the
-dynamics on a few graphs and prints how the spread collapses.
+Without a threshold (epsilon = inf), every agent's garbage amount converges
+to the average of the initial amounts on every connected graph with three or
+more vertices, stars included; only K2 swaps its two amounts forever.  This
+script runs the dynamics on a few graphs and prints how the spread collapses.
 """
 
 from garbagegame import (
@@ -27,7 +28,7 @@ for kind, order in (("cycle", 6), ("complete", 5), ("erdos_renyi", 10)):
     s0 = GarbageState([rng.uniform(0.0, 10.0) for _ in range(g.n)])
 
     traj = run(g, s0, Threshold.infinite(), convergence_tol=1e-10)
-    report = convergence_report(traj, tol=1e-10)
+    report = convergence_report(traj)
 
     print(f"{kind}:{order}  (star: {is_star(g)})")
     print(f"  initial average     {report.initial_average:.6f}")

@@ -73,7 +73,9 @@ def _decrement_bound(edge_count: int, deg: np.ndarray, x: np.ndarray, x_next: np
 
 def decrement_lower_bound(g: Graph, s: GarbageState, eps: "Threshold | float") -> float:
     """Certified lower bound on the one-step energy decrease:
-    4 * sum_i (|E_t| - |N_i|) * (x_i - x_i')^2.  Zero when no edge is active."""
+    4 * sum_i (|E_t| - |N_i|) * (x_i - x_i')^2.  Zero when no edge is active.
+    _lyapunov_step gets the same bits in one kernel pass; this path stays while
+    perfbench's test_tracer_restores_the_package pins its spans (ROADMAP.md item 2)."""
     threshold = as_threshold(eps)
     topo = effective_edges(g, s, threshold)
     return _decrement_bound(topo.edge_count, np.array(topo.degrees), s.values, step(g, s, threshold).values)
@@ -145,9 +147,9 @@ def _scaled_totals(states: Sequence[GarbageState]) -> tuple[list[float], float]:
     return [float(np.ldexp(s.values, -k).sum()) for s in states], 2.0**k
 
 
-def conservation_violation(g: Graph, a: GarbageState, b: GarbageState) -> str | None:
-    """Why the step a -> b changed the total beyond 1e-12 * n * max(a), or None."""
-    budget = 1e-12 * g.n * float(a.values.max())
+def conservation_violation(a: GarbageState, b: GarbageState) -> str | None:
+    """Why the step a -> b changed the total beyond 1e-12 * a.n * max(a), or None."""
+    budget = 1e-12 * a.n * float(a.values.max())
     (total_a, total_b), unit = _scaled_totals((a, b))
     drift = abs(total_b - total_a) * unit
     if drift > budget:
@@ -165,12 +167,12 @@ def hull_violation(a: GarbageState, b: GarbageState) -> str | None:
     return None
 
 
-def convergence_report(traj: Trajectory, tol: float = 1e-9) -> ConvergenceReport:
+def convergence_report(traj: Trajectory) -> ConvergenceReport:
     """Summarise a trajectory against the convergence-to-average prediction.
 
-    converged is run's stop test on the final diagnostics: the amounts agree
-    within tol AND every social edge is active, so threshold-locked
-    oscillations are reported honestly.
+    converged is run's recorded verdict (Trajectory.converged), whose stop test
+    requires every social edge to be active, so threshold-locked oscillations
+    are reported honestly; the report makes no test of its own.
 
     Only the trajectory's distinct prefix is read (Trajectory.distinct_length):
     a periodic tail repeats its states' totals, step-to-step drifts and
@@ -179,10 +181,7 @@ def convergence_report(traj: Trajectory, tol: float = 1e-9) -> ConvergenceReport
     """
     if not traj.states:
         raise ValueError("trajectory has no states")
-    if not (tol > 0.0):
-        raise ValueError(f"tol must be positive, got {tol!r}")
     g = traj.graph
-    threshold = traj.threshold
     k = traj.distinct_length()
     states, diags = traj.states[:k], traj.diagnostics[:k]
     final = traj.states[-1]
@@ -192,10 +191,9 @@ def convergence_report(traj: Trajectory, tol: float = 1e-9) -> ConvergenceReport
     initial_average = totals[0] / g.n * unit
     max_dev = float(np.max(np.abs(final.values - initial_average)))
     conservation_error = max((abs(b - a) for a, b in zip(totals, totals[1:])), default=0.0) * unit
-    trivialization_time = next((s.time for s, d in zip(states, diags) if d.max_diff <= threshold.epsilon), None)
-    last = traj.diagnostics[-1]
+    trivialization_time = next((s.time for s, d in zip(states, diags) if d.max_diff <= traj.threshold.epsilon), None)
     return ConvergenceReport(
-        converged=last.max_diff <= tol and last.active_edges == g.edge_count,
+        converged=traj.converged,
         limit_estimate=final_total / g.n * unit,
         initial_average=initial_average,
         max_deviation_from_average=max_dev,

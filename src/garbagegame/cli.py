@@ -37,7 +37,7 @@ from .dynamics import (
     step,
     transition_matrix,
 )
-from .graph import Graph, GraphError, generate_graph, is_connected, is_star, parse_edge_list, random_connected_graph
+from .graph import Graph, generate_graph, is_connected, is_star, parse_edge_list, random_connected_graph
 from .rng import Xoshiro256StarStar, derive_seed
 from .spectral import ISOPERIMETRIC_MAX_ORDER, cheeger_check, nontrivial_displacement_bound
 
@@ -173,10 +173,13 @@ def _initial_state(args: argparse.Namespace, n: int) -> GarbageState:
 # verify suites on randomized instances
 
 
+def _random_graph(rng: Xoshiro256StarStar, lo: int, hi: int) -> Graph:
+    return random_connected_graph(lo + rng.randrange(hi - lo + 1), rng)
+
+
 def _random_instance(rng: Xoshiro256StarStar, lo: int, hi: int) -> tuple[Graph, GarbageState, Threshold]:
-    n = lo + rng.randrange(hi - lo + 1)
-    g = random_connected_graph(n, rng)
-    s = GarbageState([10.0 * rng.random() for _ in range(n)])
+    g = _random_graph(rng, lo, hi)
+    s = GarbageState([10.0 * rng.random() for _ in range(g.n)])
     if rng.random() < 0.5:
         eps = Threshold.infinite()
     else:
@@ -195,7 +198,7 @@ def _short_run(g: Graph, s: GarbageState, eps: Threshold, steps: int = 25) -> li
 def _suite_conservation(rng, lo, hi) -> list[str]:
     g, s, eps = _random_instance(rng, lo, hi)
     states = _short_run(g, s, eps)
-    return [m for a, b in zip(states, states[1:]) if (m := conservation_violation(g, a, b))]
+    return [m for a, b in zip(states, states[1:]) if (m := conservation_violation(a, b))]
 
 
 def _suite_lyapunov(rng, lo, hi) -> list[str]:
@@ -254,30 +257,24 @@ def _suite_equivalence(rng, lo, hi) -> list[str]:
 
 
 def _suite_cheeger(rng, lo, hi) -> list[str]:
-    n = lo + rng.randrange(hi - lo + 1)
-    g = random_connected_graph(n, rng)
+    g = _random_graph(rng, lo, hi)
     report = cheeger_check(g)
     out = []
     if not report.sandwich_ok:
-        out.append(
-            f"sandwich violated on n={n}: lambda2={report.lambda2!r} i={report.isoperimetric!r}"
-        )
+        out.append(f"sandwich violated on n={g.n}: lambda2={report.lambda2!r} i={report.isoperimetric!r}")
     if not report.floor_ok:
         out.append(f"lambda2 {report.lambda2!r} not above floor {report.lambda2_floor!r}")
     return out
 
 
 def _suite_displacement(rng, lo, hi) -> list[str]:
-    n = lo + rng.randrange(hi - lo + 1)
-    g = random_connected_graph(n, rng)
-    s = GarbageState([10.0 * rng.random() for _ in range(n)])
+    g, s, _ = _random_instance(rng, lo, hi)  # the threshold, drawn last, goes unused
     spread = s.max_pairwise_diff()
     if spread <= 0.0:
         return []
-    delta = spread / 2.0
-    res = nontrivial_displacement_bound(g, s, Threshold.infinite(), range(1, n + 1), delta)
+    res = nontrivial_displacement_bound(g, s, Threshold.infinite(), range(1, g.n + 1), spread / 2.0)
     if not res.ok:
-        return [f"displacement {res.lhs!r} not above bound {res.rhs!r} on n={n}"]
+        return [f"displacement {res.lhs!r} not above bound {res.rhs!r} on n={g.n}"]
     return []
 
 
@@ -337,7 +334,7 @@ def validate_trajectory(traj: Trajectory) -> None:
     for a, b in zip(states, states[1:]):
         if not np.array_equal(step(g, a, traj.threshold).values, b.values):
             raise CliError(f"trajectory mismatch: step from t={a.time} does not reproduce t={b.time}")
-        message = conservation_violation(g, a, b) or hull_violation(a, b)
+        message = conservation_violation(a, b) or hull_violation(a, b)
         if message:
             raise CliError(f"invalid trajectory: {message}")
 
@@ -353,7 +350,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     traj = run(g, s0, threshold, max_steps=args.max_steps, convergence_tol=args.tol)
     if args.validate:
         validate_trajectory(traj)
-    report = convergence_report(traj, tol=args.tol)
+    report = convergence_report(traj)
     summary = {
         "n": g.n,
         "epsilon": "inf" if threshold.is_infinite else threshold.epsilon,
@@ -458,7 +455,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, GraphError, ValueError, OSError) as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -124,20 +124,21 @@ def _retime_state(s: GarbageState, shift: int) -> GarbageState:
 
 
 class PeriodicList(Sequence):
-    """A list whose entries from index start on repeat with a period: entry
-    i >= start is stored entry j = source(i), passed through retime(entry j,
-    i - j) (unchanged without retime).  Only the first start + period entries
-    are stored.
+    """A list of the given length whose stored items end with one period that
+    repeats to the end: with start = len(items) - period, entry i >= start is
+    stored entry j = source(i), passed through retime(entry j, i - j)
+    (unchanged without retime).
 
     Reads (len, iteration, indexing, slices) see every entry.  Assigning an
     item first expands the list to plain storage, which drops the tail record,
     so a consumer that reads the record never trusts an edited tail.
     """
 
-    def __init__(self, items: list, start: int, period: int, length: int, retime: Callable | None = None) -> None:
-        if not (0 <= start and period >= 1 and len(items) == start + period < length):
+    def __init__(self, items: list, period: int, length: int, retime: Callable | None = None) -> None:
+        if not (1 <= period <= len(items) < length):
             raise ValueError("a periodic tail needs its transient, one period and at least one repeat")
-        self._items, self._start, self._period, self._length, self._retime = items, start, period, length, retime
+        self._items, self._period, self._length, self._retime = items, period, length, retime
+        self._start = len(items) - period  # the transient's length
 
     @property
     def tail(self) -> tuple[int, int] | None:
@@ -185,12 +186,14 @@ class Trajectory:
     Consumers read that record (periodic_tail, distinct_length) and handle only
     the distinct entries.  A trajectory built from plain lists, or one an item
     was assigned into, has no record and is handled entry by entry.
+    converged is run's stop verdict on the final state (False if built elsewhere).
     """
 
     graph: Graph
     threshold: Threshold
     states: Sequence[GarbageState]
     diagnostics: Sequence[StepDiagnostics] = field(default_factory=list)
+    converged: bool = False
 
     def __post_init__(self) -> None:
         if len(self.diagnostics) != len(self.states):
@@ -338,15 +341,17 @@ def run(
 
     Stops early once the amounts agree within convergence_tol AND every
     social edge is active (the post-threshold regime); oscillation on a
-    proper subgraph is never reported as converged.
+    proper subgraph is never reported as converged.  Every state is tested,
+    the last of a max_steps run too; the final verdict is Trajectory.converged.
 
     Once a new state has the bits of the state 1 or 2 steps back (-0.0 and
     +0.0 differ), the rest of the run is that periodic orbit: its states
     already failed the stop test, so the remaining steps up to max_steps are
-    not stepped.  The trajectory records where the orbit starts and its
-    period (see Trajectory.periodic_tail) and stores only the transient plus
-    one period; a tail entry is made on demand, a state re-timed around its
-    period's values array and the period's diagnostics object itself.
+    not stepped (converged stays False).  The trajectory records where the
+    orbit starts and its period (see Trajectory.periodic_tail) and stores only
+    the transient plus one period; a tail entry is made on demand, a state
+    re-timed around its period's values array and the period's diagnostics
+    object itself.
     """
     threshold = as_threshold(eps)
     _check_compatible(g, s0)
@@ -359,15 +364,15 @@ def run(
         cur = states[-1]
         x_next, d, _, m = _advance(g, cur, threshold.epsilon)
         diags.append(StepDiagnostics(_energy(g, d, threshold), m, cur.max_pairwise_diff()))
-        if len(states) > max_steps or (diags[-1].max_diff <= convergence_tol and m == g.edge_count):
+        converged = diags[-1].max_diff <= convergence_tol and m == g.edge_count
+        if converged or len(states) > max_steps:
             break
         nxt = GarbageState(x_next, time=cur.time + 1)
         bits = nxt.values.tobytes()
         period = next((p for p in (1, 2) if p <= len(states) and states[-p].values.tobytes() == bits), 0)
         if period:
-            start = len(states) - period
-            states = PeriodicList(states, start, period, max_steps + 1, _retime_state)
-            diags = PeriodicList(diags, start, period, max_steps + 1)
+            states = PeriodicList(states, period, max_steps + 1, _retime_state)
+            diags = PeriodicList(diags, period, max_steps + 1)
             break
         states.append(nxt)
-    return Trajectory(graph=g, threshold=threshold, states=states, diagnostics=diags)
+    return Trajectory(graph=g, threshold=threshold, states=states, diagnostics=diags, converged=converged)

@@ -196,19 +196,19 @@ class TestStepViolations(unittest.TestCase):
 
     def test_conservation(self):
         a = GarbageState([0.0, 1.0, 2.0, 3.0], time=5)
-        self.assertIsNone(conservation_violation(C4, a, step(C4, a, Threshold.infinite())))
-        # budget 1e-12 * n * max(a) = 1.2e-11
-        self.assertIsNone(conservation_violation(C4, a, GarbageState([0.0, 1.0, 2.0, 3.0 + 1e-11])))
-        message = conservation_violation(C4, a, GarbageState([0.0, 1.0, 2.0, 3.0 + 1e-9]))
+        self.assertIsNone(conservation_violation(a, step(C4, a, Threshold.infinite())))
+        # budget 1e-12 * n * max(a) = 1.2e-11, n taken from a
+        self.assertIsNone(conservation_violation(a, GarbageState([0.0, 1.0, 2.0, 3.0 + 1e-11])))
+        message = conservation_violation(a, GarbageState([0.0, 1.0, 2.0, 3.0 + 1e-9]))
         self.assertIn("t=5", message)
         self.assertIn("conservation drift", message)
 
     def test_conservation_beyond_float64_range(self):
         # both plain totals overflow to inf, and inf - inf = nan never exceeds a budget
         a = GarbageState([1e308, 0.0, 1e308], time=1)
-        message = conservation_violation(P3, a, GarbageState([1e308] * 3))
+        message = conservation_violation(a, GarbageState([1e308] * 3))
         self.assertEqual(message, "conservation drift 1.000e+308 exceeds 3.000e+296 at t=1")
-        self.assertIsNone(conservation_violation(P3, a, GarbageState([1e308, 0.0, 1e308])))
+        self.assertIsNone(conservation_violation(a, GarbageState([1e308, 0.0, 1e308])))
 
     def test_hull(self):
         a = GarbageState([1.0, 3.0], time=2)
@@ -292,14 +292,27 @@ class TestConvergenceReport(unittest.TestCase):
             self.assertFalse(convergence_report(locked).converged)
             self.assertTrue(convergence_report(converging).converged)
 
+    def test_follows_the_run_tolerance(self):
+        # the report follows run's own tolerance in both directions
+        x = GarbageState([0.0, 1.0, 2.0, 3.0])
+        loose = run(C4, x, Threshold.infinite(), convergence_tol=1e-6)
+        self.assertEqual((loose.steps_run, loose.diagnostics[-1].max_diff), (21, 2.0**-20))
+        self.assertTrue(convergence_report(loose).converged)  # spread 9.5e-7 > 1e-9, yet run stopped
+        tight = run(C4, x, Threshold.infinite(), max_steps=31, convergence_tol=1e-12)
+        self.assertEqual((tight.steps_run, tight.diagnostics[-1].max_diff), (31, 2.0**-30))
+        self.assertFalse(convergence_report(tight).converged)  # spread 9.3e-10 <= 1e-9, yet run ran out
+
+    def test_reads_the_record_of_a_built_trajectory(self):
+        traj = run(C4, GarbageState([0.0, 1.0, 2.0, 3.0]), Threshold.infinite())
+        self.assertTrue(convergence_report(traj).converged)
+        built = Trajectory(graph=C4, threshold=traj.threshold, states=traj.states, diagnostics=traj.diagnostics)
+        self.assertFalse(convergence_report(built).converged)  # not known to have converged
+
     def test_errors(self):
         g = Graph(2, frozenset({(1, 2)}))
         empty = Trajectory(graph=g, threshold=Threshold(1.0), states=[])
         with self.assertRaises(ValueError):
             convergence_report(empty)
-        traj = run(g, GarbageState([1.0, 2.0]), Threshold.infinite(), max_steps=3)
-        with self.assertRaises(ValueError):
-            convergence_report(traj, tol=0.0)
 
 
 class TestAbsorbingRegime(unittest.TestCase):

@@ -7,6 +7,7 @@ import numpy as np
 from garbagegame.analysis import roundoff_slack
 from garbagegame.dynamics import (
     GarbageState,
+    PeriodicList,
     Threshold,
     Trajectory,
     effective_edges,
@@ -378,6 +379,19 @@ class TestRun(unittest.TestCase):
         with self.assertRaises(ValueError):
             run(C4, s, Threshold.infinite(), convergence_tol=0.0)
 
+    def test_converged_records_the_stop_test(self):
+        one = run(Graph(1), GarbageState([7.0]), Threshold.infinite())
+        self.assertEqual((one.steps_run, one.converged), (0, True))  # no edges, no spread: stops at step 0
+        orbit = run(P3, GarbageState([0.0, 1.0, 5.0]), Threshold(2.0), max_steps=50)
+        self.assertIsNotNone(orbit.periodic_tail)
+        self.assertFalse(orbit.converged)
+        # C4 from 0,1,2,3 meets the default tol first at step 31: the last state of
+        # a 31-step run is still tested, and a 30-step run ends one step short
+        x = GarbageState([0.0, 1.0, 2.0, 3.0])
+        self.assertTrue(run(C4, x, Threshold.infinite(), max_steps=31).converged)
+        self.assertFalse(run(C4, x, Threshold.infinite(), max_steps=30).converged)
+        self.assertEqual(run(C4, x, Threshold.infinite()).steps_run, 31)
+
     def test_values_matrix_shape(self):
         traj = run(C4, GarbageState([0.0, 1.0, 2.0, 3.0]), Threshold.infinite(), max_steps=7)
         self.assertEqual(traj.values_matrix().shape, (8, 4))
@@ -399,6 +413,20 @@ class TestTrajectoryType(unittest.TestCase):
         empty = Trajectory(graph=P3, threshold=Threshold(2.0), states=[])  # no states, no diagnostics: valid
         self.assertEqual(empty.steps_run, 0)
         self.assertEqual(empty.values_matrix().shape, (0, 3))
+        self.assertFalse(empty.converged)
+
+
+class TestPeriodicList(unittest.TestCase):
+
+    def test_start_is_the_stored_length_less_one_period(self):
+        items = PeriodicList(["a", "b", "c"], 2, 7)
+        self.assertEqual(items.tail, (1, 2))
+        self.assertEqual(list(items), ["a", "b", "c", "b", "c", "b", "c"])
+
+    def test_rejects_a_tail_that_does_not_fit(self):
+        for period, length in ((0, 5), (4, 5), (2, 3), (2, 2)):  # no period, period > stored, no repeat
+            with self.assertRaisesRegex(ValueError, "periodic tail", msg=f"period {period} length {length}"):
+                PeriodicList(["a", "b", "c"], period, length)
 
 
 if __name__ == "__main__":

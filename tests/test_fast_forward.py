@@ -34,16 +34,20 @@ def diagnose(g, s, threshold):
 
 
 def plain_run(g, s0, threshold, max_steps, tol=1e-9):
-    """The loop the fast-forward replaced: every state stepped and diagnosed."""
+    """The loop the fast-forward replaced: every state stepped and diagnosed;
+    converged is its stop test on the final state."""
     states = [s0]
     diags = [diagnose(g, s0, threshold)]
+
+    def stopped(d):
+        return d.max_diff <= tol and d.active_edges == g.edge_count
+
     for _ in range(max_steps):
-        d = diags[-1]
-        if d.max_diff <= tol and d.active_edges == g.edge_count:
+        if stopped(diags[-1]):
             break
         states.append(step(g, states[-1], threshold))
         diags.append(diagnose(g, states[-1], threshold))
-    return Trajectory(graph=g, threshold=threshold, states=states, diagnostics=diags)
+    return Trajectory(graph=g, threshold=threshold, states=states, diagnostics=diags, converged=stopped(diags[-1]))
 
 
 def plain_csv(traj):
@@ -89,10 +93,11 @@ def seeded_instances():
 
 def copied(traj):
     """The same trajectory with every values array and diagnostics object a
-    bit-equal copy, so nothing is shared."""
+    bit-equal copy, so nothing is shared; the converged record carries over."""
     states = [GarbageState(s.values.copy(), time=s.time) for s in traj.states]
     diags = [StepDiagnostics(d.z, d.active_edges, d.max_diff) for d in traj.diagnostics]
-    return Trajectory(graph=traj.graph, threshold=traj.threshold, states=states, diagnostics=diags)
+    return Trajectory(graph=traj.graph, threshold=traj.threshold, states=states, diagnostics=diags,
+                      converged=traj.converged)
 
 
 def locked_cycle16():
