@@ -179,8 +179,6 @@ def convergence_report(traj: Trajectory) -> ConvergenceReport:
     spreads, so conservation_error and trivialization_time come out as over
     every state.
     """
-    if not traj.states:
-        raise ValueError("trajectory has no states")
     g = traj.graph
     k = traj.distinct_length()
     states, diags = traj.states[:k], traj.diagnostics[:k]

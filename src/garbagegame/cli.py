@@ -81,22 +81,24 @@ def to_json(value: Any) -> str:
 
 def _csv_pieces(traj: Trajectory) -> Iterator[str]:
     """The per-step CSV in pieces: the header line, then per row f"{t}," and
-    the text of the rest of the row.  With a recorded periodic tail, a tail
-    row reuses the text of the stored row it repeats (PeriodicList.source)."""
+    the text of the rest of the row.  With a recorded periodic tail, row i is
+    written from the stored row j = PeriodicList.source(i) it repeats: its text
+    is reused and its t is row j's time plus i - j, so no tail state is made."""
     n = traj.graph.n
     yield "t," + ",".join(f"x_{i}" for i in range(1, n + 1)) + ",z,active_edges,max_diff\n"
     tail = traj.periodic_tail
-    period_rows = {}  # the text after t of the stored rows the tail repeats, by stored index
-    for i, (state, diag) in enumerate(zip(traj.states, traj.diagnostics)):
+    period_rows = {}  # the time and text after t of the stored rows the tail repeats, by stored index
+    for i in range(len(traj.states)):
         j = traj.states.source(i) if tail else i
-        rest = period_rows.get(j)
-        if rest is None:
+        row = period_rows.get(j)
+        if row is None:
+            state, diag = traj.states[j], traj.diagnostics[j]
             xs = ",".join(format_float(v) for v in state.values.tolist())
-            rest = f"{xs},{format_float(diag.z)},{diag.active_edges},{format_float(diag.max_diff)}\n"
+            row = state.time, f"{xs},{format_float(diag.z)},{diag.active_edges},{format_float(diag.max_diff)}\n"
             if tail and j >= tail[0]:
-                period_rows[j] = rest
-        yield f"{state.time},"
-        yield rest
+                period_rows[j] = row
+        yield f"{row[0] + i - j},"
+        yield row[1]
 
 
 def trajectory_csv(traj: Trajectory) -> str:
@@ -325,10 +327,10 @@ def validate_trajectory(traj: Trajectory) -> None:
     """Re-check each distinct step on an emitted trajectory: it reproduces bit
     for bit, conserves the total and stays in the hull; raises on the first
     violation.  All three checks depend only on the two states' values, so
-    with a recorded periodic tail only the pairs of the distinct prefix
-    (Trajectory.distinct_length) are replayed: the transient, one period and
-    the pair that wraps round to the period's start.  Without a record, every
-    pair is replayed."""
+    with a periodic tail record, read-only like its trajectory, only the pairs
+    of the distinct prefix (Trajectory.distinct_length) are replayed: the
+    transient, one period and the wrap to the period's start.  Without a
+    record (a trajectory built from lists, edited or not), every pair is."""
     g = traj.graph
     states = traj.states[: traj.distinct_length()]
     for a, b in zip(states, states[1:]):

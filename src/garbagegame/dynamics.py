@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -124,29 +124,28 @@ def _retime_state(s: GarbageState, shift: int) -> GarbageState:
 
 
 class PeriodicList(Sequence):
-    """A list of the given length whose stored items end with one period that
-    repeats to the end: with start = len(items) - period, entry i >= start is
-    stored entry j = source(i), passed through retime(entry j, i - j)
-    (unchanged without retime).
+    """A read-only list of the given length whose stored items end with one
+    period that repeats to the end: tail = (start, period) with start =
+    len(items) - period, and entry i >= start is stored entry j = source(i),
+    passed through retime(entry j, i - j) (unchanged without retime).
 
-    Reads (len, iteration, indexing, slices) see every entry.  Assigning an
-    item first expands the list to plain storage, which drops the tail record,
-    so a consumer that reads the record never trusts an edited tail.
+    Reads (len, iteration, indexing, slices) see every entry.  There is no
+    assignment, so the tail, set once here, always describes the entries.
     """
 
     def __init__(self, items: list, period: int, length: int, retime: Callable | None = None) -> None:
         if not (1 <= period <= len(items) < length):
             raise ValueError("a periodic tail needs its transient, one period and at least one repeat")
-        self._items, self._period, self._length, self._retime = items, period, length, retime
-        self._start = len(items) - period  # the transient's length
+        self._items, self._length, self._retime = tuple(items), length, retime
+        self._start, self._period = len(items) - period, period  # start: the transient's length
 
     @property
-    def tail(self) -> tuple[int, int] | None:
-        """(start, period) while the tail is recorded; None once expanded."""
-        return (self._start, self._period) if self._period else None
+    def tail(self) -> tuple[int, int]:
+        """(start, period)."""
+        return self._start, self._period
 
     def __len__(self) -> int:
-        return self._length if self._period else len(self._items)
+        return self._length
 
     def source(self, i: int) -> int:
         """Index of the stored entry that entry i (0 <= i < len) repeats."""
@@ -170,34 +169,34 @@ class PeriodicList(Sequence):
     def __iter__(self) -> Iterator:
         return (self._entry(i) for i in range(len(self)))
 
-    def __setitem__(self, index, value) -> None:
-        if self._period:
-            self._items, self._period = list(self), 0
-        self._items[index] = value
 
-
-@dataclass
+@dataclass(frozen=True)
 class Trajectory:
-    """Ordered states of one run plus per-state diagnostics.
+    """Ordered states of one run, at least one, and a diagnostics entry per state.
 
     run records a periodic tail instead of storing it: states and diagnostics
-    are then PeriodicLists with the same (start, period), which hold the
+    are then read-only PeriodicLists with the same tail, which hold the
     transient plus one period and make the re-timed tail entries on demand.
     Consumers read that record (periodic_tail, distinct_length) and handle only
-    the distinct entries.  A trajectory built from plain lists, or one an item
-    was assigned into, has no record and is handled entry by entry.
+    the distinct entries.  A trajectory built from plain lists has no record
+    and is handled entry by entry.  All of this is checked once, when built.
     converged is run's stop verdict on the final state (False if built elsewhere).
     """
 
     graph: Graph
     threshold: Threshold
     states: Sequence[GarbageState]
-    diagnostics: Sequence[StepDiagnostics] = field(default_factory=list)
+    diagnostics: Sequence[StepDiagnostics]
     converged: bool = False
 
     def __post_init__(self) -> None:
+        if not self.states:
+            raise ValueError("a trajectory needs at least one state")
         if len(self.diagnostics) != len(self.states):
             raise ValueError("diagnostics must align one-to-one with states")
+        layouts = [seq.tail if isinstance(seq, PeriodicList) else None for seq in (self.states, self.diagnostics)]
+        if layouts[0] != layouts[1]:
+            raise ValueError(f"states and diagnostics must share one periodic layout, got tails {layouts}")
 
     @property
     def initial_state(self) -> GarbageState:
@@ -209,16 +208,13 @@ class Trajectory:
 
     @property
     def steps_run(self) -> int:
-        return max(len(self.states) - 1, 0)
+        return len(self.states) - 1
 
     @property
     def periodic_tail(self) -> tuple[int, int] | None:
         """(start, period) of the tail run recorded, or None: from index start
         on, states and diagnostics repeat with that period."""
-        states, diags = self.states, self.diagnostics
-        if isinstance(states, PeriodicList) and isinstance(diags, PeriodicList) and states.tail == diags.tail:
-            return states.tail
-        return None
+        return self.states.tail if isinstance(self.states, PeriodicList) else None
 
     def distinct_length(self) -> int:
         """Length of the shortest prefix that holds every distinct entry and
@@ -229,9 +225,7 @@ class Trajectory:
         return len(self.states) if tail is None else sum(tail) + 1
 
     def values_matrix(self) -> np.ndarray:
-        """States stacked as a (steps+1, n) array, row k = time index k; (0, n) with no states."""
-        if not self.states:
-            return np.empty((0, self.graph.n))
+        """States stacked as a (steps+1, n) array, row k = time index k."""
         return np.stack([s.values for s in self.states])
 
 
@@ -349,9 +343,9 @@ def run(
     already failed the stop test, so the remaining steps up to max_steps are
     not stepped (converged stays False).  The trajectory records where the
     orbit starts and its period (see Trajectory.periodic_tail) and stores only
-    the transient plus one period; a tail entry is made on demand, a state
-    re-timed around its period's values array and the period's diagnostics
-    object itself.
+    the transient plus one period, in read-only PeriodicLists; a tail entry is
+    made on demand, a state re-timed around its period's values array and the
+    period's diagnostics object itself.
     """
     threshold = as_threshold(eps)
     _check_compatible(g, s0)

@@ -20,6 +20,7 @@ import numpy as np
 from .rng import Xoshiro256StarStar
 
 GRAPH_KINDS = ("path", "cycle", "star", "complete", "erdos_renyi")
+MAX_ORDER = 3_037_000_500  # the largest n whose edge keys (u - 1)·n + (v - 1), at most n·n - n - 1, fit in int64
 
 
 class GraphError(ValueError):
@@ -37,6 +38,8 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] | np.ndarray = ()) -> None:
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise GraphError(f"vertex count must be a positive integer, got {n!r}")
+        if n > MAX_ORDER:
+            raise GraphError(f"vertex count {n} exceeds {MAX_ORDER}, the largest whose edge keys fit in int64")
         try:  # an empty iterable is 0 x 2
             pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges) or np.empty((0, 2), int))
         except ValueError:  # rows of unequal length

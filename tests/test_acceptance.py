@@ -9,6 +9,7 @@ orders of magnitude below the tightest stated tolerance.
 
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -42,6 +43,7 @@ from garbagegame.graph import (
 from garbagegame.rng import Xoshiro256StarStar, derive_seed
 
 SEED = 20260814
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 _criterion1_cache = None
 
@@ -299,6 +301,8 @@ class TestAcceptance(unittest.TestCase):
               "tests/test_stars.py); star-6 center weight 0")
 
     def test_criterion_9_byte_identical_outputs(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
         with tempfile.TemporaryDirectory() as tmp:
             outputs = []
             for tag in ("a", "b"):
@@ -309,7 +313,7 @@ class TestAcceptance(unittest.TestCase):
                      "--generate", "erdos_renyi:9:0.4", "--init-random",
                      "uniform:0:10", "--epsilon", "inf", "--seed", "31415",
                      "--out", str(csv), "--summary", str(summ)],
-                    capture_output=True, check=True)
+                    env=env, capture_output=True, check=True)
                 outputs.append((proc.stdout, csv.read_bytes(), summ.read_bytes()))
             self.assertEqual(outputs[0], outputs[1])
             self.assertGreater(len(outputs[0][1]), 0)

@@ -310,9 +310,8 @@ class TestConvergenceReport(unittest.TestCase):
 
     def test_errors(self):
         g = Graph(2, frozenset({(1, 2)}))
-        empty = Trajectory(graph=g, threshold=Threshold(1.0), states=[])
-        with self.assertRaises(ValueError):
-            convergence_report(empty)
+        with self.assertRaisesRegex(ValueError, "at least one state"):  # so a report always has a final state
+            Trajectory(graph=g, threshold=Threshold(1.0), states=[], diagnostics=[])
 
 
 class TestAbsorbingRegime(unittest.TestCase):

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -226,19 +227,21 @@ class TestValidate(unittest.TestCase):
 
     def test_tampering_inside_a_periodic_tail_is_caught(self):
         traj = run(generate_graph("path", 3), GarbageState([0.0, 1.0, 5.0]), Threshold(2.0), max_steps=50)
-        values = traj.states[40].values.copy()
+        states = list(traj.states)
+        values = states[40].values.copy()
         values[[0, 1]] = values[[1, 0]]  # the orbit's other state: the right bits at the wrong time
-        traj.states[40] = GarbageState(values, time=40)
+        states[40] = GarbageState(values, time=40)
         with self.assertRaises(CliError) as ctx:
-            validate_trajectory(traj)
+            validate_trajectory(dataclasses.replace(traj, states=states, diagnostics=list(traj.diagnostics)))
         self.assertIn("step from t=39 does not reproduce t=40", str(ctx.exception))
 
     def test_shared_array_at_the_wrong_time_is_caught(self):
         # t=40 shares the array of the orbit's other state: sharing alone must not skip the pair
         traj = run(generate_graph("path", 3), GarbageState([0.0, 1.0, 5.0]), Threshold(2.0), max_steps=50)
-        traj.states[40] = GarbageState._retimed(traj.states[41], 40)
+        states = list(traj.states)
+        states[40] = GarbageState._retimed(states[41], 40)
         with self.assertRaises(CliError) as ctx:
-            validate_trajectory(traj)
+            validate_trajectory(dataclasses.replace(traj, states=states, diagnostics=list(traj.diagnostics)))
         self.assertIn("step from t=39 does not reproduce t=40", str(ctx.exception))
 
 

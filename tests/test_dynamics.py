@@ -409,11 +409,19 @@ class TestTrajectoryType(unittest.TestCase):
     def test_states_without_diagnostics_rejected(self):
         s0 = GarbageState([0.0, 1.0, 5.0])
         with self.assertRaisesRegex(ValueError, "align one-to-one"):
-            Trajectory(graph=P3, threshold=Threshold(2.0), states=[s0, step(P3, s0, Threshold(2.0))])
-        empty = Trajectory(graph=P3, threshold=Threshold(2.0), states=[])  # no states, no diagnostics: valid
-        self.assertEqual(empty.steps_run, 0)
-        self.assertEqual(empty.values_matrix().shape, (0, 3))
-        self.assertFalse(empty.converged)
+            Trajectory(graph=P3, threshold=Threshold(2.0), states=[s0, step(P3, s0, Threshold(2.0))], diagnostics=[])
+        with self.assertRaisesRegex(ValueError, "at least one state"):
+            Trajectory(graph=P3, threshold=Threshold(2.0), states=[], diagnostics=[])
+
+    def test_states_and_diagnostics_share_one_layout(self):
+        traj = run(P3, GarbageState([0.0, 1.0, 5.0]), Threshold(2.0), max_steps=50)
+        states, diags = traj.states, traj.diagnostics
+        self.assertEqual(traj.periodic_tail, (0, 2))
+        for s, d in ((states, list(diags)), (list(states), diags), (states, PeriodicList(diags[:3], 1, 51))):
+            with self.assertRaisesRegex(ValueError, "one periodic layout"):
+                Trajectory(graph=P3, threshold=traj.threshold, states=s, diagnostics=d)
+        self.assertIsNone(Trajectory(graph=P3, threshold=traj.threshold, states=list(states),
+                                     diagnostics=list(diags)).periodic_tail)
 
 
 class TestPeriodicList(unittest.TestCase):

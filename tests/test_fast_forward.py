@@ -10,6 +10,7 @@ read like the oracle's plain lists through every sequence operation.
 """
 
 import contextlib
+import dataclasses
 import io
 import os
 import tempfile
@@ -305,24 +306,43 @@ class TestCompressedTrajectory(unittest.TestCase):
             self.assertEqual(matrix.shape, (n, g.n), msg=label)
             self.assertEqual(matrix.tobytes(), want.values_matrix().tobytes(), msg=label)
 
-    def test_assignment_in_the_tail_falls_back_to_plain_storage(self):
+    def test_a_record_less_copy_is_handled_entry_by_entry(self):
         for label, g, s0, threshold, max_steps in self.cases():
             want = plain_run(g, s0, threshold, max_steps)
+            traj = copied(run(g, s0, threshold, max_steps=max_steps))
+            self.assertIsNone(traj.periodic_tail, msg=label)
+            self.assertEqual(traj.distinct_length(), len(want.states), msg=label)
+            self.assert_same_entries(traj, want, label)
+            steps = []
+            with mock.patch.object(cli, "step", counting(steps, dynamics.step)):
+                validate_trajectory(traj)
+            self.assertEqual(steps, [s.time for s in want.states[:-1]], msg=label)
+            self.assertEqual(trajectory_csv(traj), plain_csv(want), msg=label)
+            self.assertEqual(repr(convergence_report(traj)), repr(convergence_report(want)), msg=label)
+
+    def test_a_recorded_trajectory_is_read_only(self):
+        for label, g, s0, threshold, max_steps in self.cases():
+            traj = run(g, s0, threshold, max_steps=max_steps)
+            tail = traj.periodic_tail
+            self.assertIsNotNone(tail, msg=label)
             for name in ("states", "diagnostics"):
-                traj = run(g, s0, threshold, max_steps=max_steps)
                 entries = getattr(traj, name)
-                entry = entries[-5]
-                entries[-5] = entry  # bit-equal, so every output stays that of the oracle
-                self.assertIsNone(traj.periodic_tail, msg=f"{label} {name}")
-                self.assertIs(entries[-5], entry, msg=f"{label} {name}")
-                self.assertEqual(traj.distinct_length(), len(want.states), msg=f"{label} {name}")
-                self.assert_same_entries(traj, want, f"{label} {name}")
-                steps = []
-                with mock.patch.object(cli, "step", counting(steps, dynamics.step)):
-                    validate_trajectory(traj)
-                self.assertEqual(steps, [s.time for s in want.states[:-1]], msg=f"{label} {name}")
-                self.assertEqual(trajectory_csv(traj), plain_csv(want), msg=f"{label} {name}")
-                self.assertEqual(repr(convergence_report(traj)), repr(convergence_report(want)), msg=f"{label} {name}")
+                with self.assertRaises(TypeError, msg=f"{label} {name}"):
+                    entries[-5] = entries[-5]
+                self.assertEqual(traj.periodic_tail, tail, msg=f"{label} {name}")
+                with self.assertRaises(dataclasses.FrozenInstanceError, msg=f"{label} {name}"):
+                    setattr(traj, name, list(entries))
+            with self.assertRaises(dataclasses.FrozenInstanceError, msg=label):
+                traj.converged = True
+            self.assertEqual((traj.periodic_tail, traj.distinct_length()), (tail, sum(tail) + 1), msg=label)
+
+    def test_csv_makes_no_tail_state(self):
+        for label, g, s0, threshold, max_steps in self.cases():
+            traj, want = run(g, s0, threshold, max_steps=max_steps), plain_run(g, s0, threshold, max_steps)
+            with mock.patch.object(GarbageState, "_retimed", wraps=GarbageState._retimed) as retimed:
+                text = trajectory_csv(traj)
+            self.assertEqual(retimed.call_count, 0, msg=label)
+            self.assertEqual(text, plain_csv(want), msg=label)
 
 
 class TestStreamedCsv(unittest.TestCase):

@@ -4,6 +4,7 @@ import unittest
 import numpy as np
 
 from garbagegame.graph import (
+    MAX_ORDER,
     Graph,
     GraphError,
     generate_graph,
@@ -60,6 +61,21 @@ class TestGraphType(unittest.TestCase):
         # bool is an int subclass; Graph(True) would be a one-vertex graph with n = True
         with self.assertRaisesRegex(GraphError, "vertex count must be a positive integer"):
             Graph(True)
+
+    def test_order_bound_keeps_edge_keys_in_int64(self):
+        # the largest edge key, (n - 2)·n + (n - 1) of the edge (n - 1, n), must fit in int64;
+        # one order more used to wrap it: Graph(n + 1, [(n, n + 1)]) read a negative vertex id
+        n = MAX_ORDER
+        self.assertLessEqual(n * n - n - 1, 2**63 - 1)
+        self.assertGreater((n + 1) * (n + 1) - (n + 1) - 1, 2**63 - 1)
+        text = f"n {n}\n1 {n}\n{n - 1} {n}\n"
+        g = parse_edge_list(text)
+        self.assertEqual(g.edge_list, ((1, n), (n - 1, n)))
+        self.assertEqual(render_edge_list(g), text)
+        with self.assertRaisesRegex(GraphError, f"vertex count {n + 1} exceeds {n}"):
+            Graph(n + 1, [(n, n + 1)])
+        with self.assertRaisesRegex(GraphError, f"vertex count {n + 1} exceeds {n}"):
+            parse_edge_list(f"n {n + 1}\n{n} {n + 1}\n")
 
     def test_degree_sum_is_twice_edge_count(self):
         rng = Xoshiro256StarStar(5)
