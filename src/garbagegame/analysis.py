@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -19,8 +19,8 @@ from .dynamics import (
     Threshold,
     Trajectory,
     _active,
-    _advance,
-    _energy,
+    _energy_terms,
+    _next_values,
     _ordered_sum,
     as_threshold,
     effective_edges,
@@ -60,7 +60,7 @@ def lyapunov_z(g: Graph, s: GarbageState, eps: "Threshold | float") -> float:
     """
     threshold = as_threshold(eps)
     d, _ = _active(g, s, threshold.epsilon)
-    return _energy(g, d, threshold)
+    return _energy_terms(g, d, threshold)[1]
 
 
 def _decrement_bound(edge_count: int, deg: np.ndarray, x: np.ndarray, x_next: np.ndarray) -> float:
@@ -74,23 +74,36 @@ def _decrement_bound(edge_count: int, deg: np.ndarray, x: np.ndarray, x_next: np
 def decrement_lower_bound(g: Graph, s: GarbageState, eps: "Threshold | float") -> float:
     """Certified lower bound on the one-step energy decrease:
     4 * sum_i (|E_t| - |N_i|) * (x_i - x_i')^2.  Zero when no edge is active.
-    _lyapunov_step gets the same bits in one kernel pass; this path stays while
-    perfbench's test_tracer_restores_the_package pins its spans (ROADMAP.md item 2)."""
+    _lyapunov_steps gets the same bits from its one kernel pass per state; this path
+    stays while perfbench's test_tracer_restores_the_package pins its spans (ROADMAP.md item 2)."""
     threshold = as_threshold(eps)
     topo = effective_edges(g, s, threshold)
     return _decrement_bound(topo.edge_count, np.array(topo.degrees), s.values, step(g, s, threshold).values)
 
 
-def _lyapunov_step(g: Graph, s: GarbageState, threshold: Threshold) -> tuple[LyapunovRecord, GarbageState]:
-    """lyapunov_record for s, and the validated next state, from one kernel
-    pass on s and one edge-difference pass on the next state."""
-    x_next, d, deg, m = _advance(g, s, threshold.epsilon)
+def _lyapunov_steps(
+    g: Graph, s: GarbageState, threshold: Threshold
+) -> Iterator[tuple[LyapunovRecord, GarbageState]]:
+    """lyapunov_record for s and for each later state of its orbit, each with the
+    validated next state, without end.
+
+    One kernel pass per state: a state's edge differences, active mask, capped
+    squares and energy are computed once, when it is the next state, and carried
+    over into the following step.  Each next state is validated before its
+    predecessor's terms are computed.
+    """
+    d, mask = _active(g, s, threshold.epsilon)
+    x_next, deg, m = _next_values(g, s.values, mask)
     nxt = GarbageState(x_next, time=s.time + 1)
-    d_next, _ = _active(g, nxt, threshold.epsilon)
-    cap = threshold.epsilon * threshold.epsilon  # inf at an infinite threshold: no cap
-    decrement = 2.0 * _ordered_sum(np.minimum(cap, d * d) - np.minimum(cap, d_next * d_next))
-    record = LyapunovRecord(_energy(g, d, threshold), decrement, _decrement_bound(m, deg, s.values, nxt.values))
-    return record, nxt
+    sq, z = _energy_terms(g, d, threshold)
+    while True:
+        d, mask = _active(g, nxt, threshold.epsilon)
+        sq_next, z_next = _energy_terms(g, d, threshold)
+        decrement = 2.0 * _ordered_sum(sq - sq_next)
+        yield LyapunovRecord(z, decrement, _decrement_bound(m, deg, s.values, nxt.values)), nxt
+        s, sq, z = nxt, sq_next, z_next
+        x_next, deg, m = _next_values(g, s.values, mask)
+        nxt = GarbageState(x_next, time=s.time + 1)
 
 
 def lyapunov_record(g: Graph, s: GarbageState, eps: "Threshold | float") -> LyapunovRecord:
@@ -100,7 +113,7 @@ def lyapunov_record(g: Graph, s: GarbageState, eps: "Threshold | float") -> Lyap
     carry the non-edge constant (n(n-1) - 2|E|) eps^2, whose float64 rounding
     would otherwise read as a violation of the bound.
     """
-    return _lyapunov_step(g, s, as_threshold(eps))[0]
+    return next(_lyapunov_steps(g, s, as_threshold(eps)))[0]
 
 
 def is_trivial(s: GarbageState, vertices: Iterable[int], delta: float) -> bool:

@@ -71,9 +71,9 @@ class GarbageState:
         arr = np.array(self.values, dtype=np.float64, copy=True)
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("state must be a nonempty 1-D vector")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("garbage amounts must be finite")
-        if np.any(arr < 0.0):
+        if (arr < 0.0).any():
             i = int(np.argmin(arr))
             raise ValueError(f"negative garbage amount {float(arr[i])!r} at agent {i + 1}")
         if not isinstance(self.time, int) or isinstance(self.time, bool) or self.time < 0:
@@ -242,10 +242,14 @@ def _active(g: Graph, s: GarbageState, threshold: float) -> tuple[np.ndarray, np
     return d, np.abs(d) <= threshold
 
 
-def _exchange(g: Graph, x: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _exchange(g: Graph, x: np.ndarray, mask: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """Per vertex: the sum of its active neighbors' amounts, accumulated in ascending
-    neighbor id (bincount adds in input order), and its active degree."""
+    neighbor id (bincount adds in input order), and its active degree.  mask None:
+    every edge is active, so every half-edge is read in stored order, the same input
+    order as an all-true mask, and the degrees are g's own."""
     src, dst, eid = g._half_edges
+    if mask is None:
+        return np.bincount(dst, weights=x[src], minlength=g.n), g._degree_array
     on = mask[eid]
     src, dst = src[on], dst[on]
     return np.bincount(dst, weights=x[src], minlength=g.n), np.bincount(dst, minlength=g.n)
@@ -254,22 +258,25 @@ def _exchange(g: Graph, x: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np
 def _ordered_sum(terms: np.ndarray) -> float:
     """Sum from 0.0 sequentially in array order.  numpy's sum is pairwise and
     Python >= 3.12's builtin sum is compensated; both would change the bits."""
-    return float(np.cumsum(terms)[-1]) if terms.size else 0.0
+    return float(terms.cumsum()[-1]) if terms.size else 0.0
 
 
-def _energy(g: Graph, d: np.ndarray, threshold: Threshold) -> float:
-    """Lyapunov energy from the edge differences d; see analysis.lyapunov_z.
+def _energy_terms(g: Graph, d: np.ndarray, threshold: Threshold) -> tuple[np.ndarray, float]:
+    """From the edge differences d: the capped squares min(ε², d²) per edge (plain
+    d² at an infinite threshold) and the Lyapunov energy Z; see analysis.lyapunov_z.
 
     Z saturates: a square or a running sum beyond the float64 range (|d| or ε
     above ~1.3e154) is inf, and so is Z, without an overflow warning.  A graph
     with no non-edges adds no ε² term, so an infinite ε² never makes 0·inf = nan.
     """
     with np.errstate(over="ignore"):
+        sq = d * d
         if threshold.is_infinite:
-            return 2.0 * _ordered_sum(d * d)
+            return sq, 2.0 * _ordered_sum(sq)
         e2 = threshold.epsilon * threshold.epsilon
+        np.minimum(sq, e2, out=sq)
         non_edges = g.n * (g.n - 1) - 2 * g.edge_count
-        return 2.0 * _ordered_sum(np.minimum(e2, d * d)) + (non_edges * e2 if non_edges else 0.0)
+        return sq, 2.0 * _ordered_sum(sq) + (non_edges * e2 if non_edges else 0.0)
 
 
 def effective_edges(g: Graph, s: GarbageState, eps: "Threshold | float") -> ActiveTopology:
@@ -297,16 +304,22 @@ def transition_matrix(g: Graph, s: GarbageState, eps: "Threshold | float") -> np
     return A
 
 
+def _next_values(g: Graph, x: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """The unvalidated next values from the amounts x and their active mask, with
+    the active degrees |N_i| and the active edge count |E_t|."""
+    m = int(np.count_nonzero(mask))
+    if m == 0:
+        return x, np.zeros(g.n, dtype=np.intp), 0
+    recv, deg = _exchange(g, x, None if m == g.edge_count else mask)
+    return recv / m + (1.0 - deg / m) * x, deg, m
+
+
 def _advance(g: Graph, s: GarbageState, threshold: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """One kernel pass from s: the unvalidated next values, and s's edge
     differences d, active degrees |N_i| and active edge count |E_t|."""
     d, mask = _active(g, s, threshold)
-    x = s.values
-    m = int(np.count_nonzero(mask))
-    if m == 0:
-        return x, d, np.zeros(g.n, dtype=np.intp), 0
-    recv, deg = _exchange(g, x, mask)
-    return recv / m + (1.0 - deg / m) * x, d, deg, m
+    x_next, deg, m = _next_values(g, s.values, mask)
+    return x_next, d, deg, m
 
 
 def step(g: Graph, s: GarbageState, eps: "Threshold | float") -> GarbageState:
@@ -357,7 +370,7 @@ def run(
     while True:
         cur = states[-1]
         x_next, d, _, m = _advance(g, cur, threshold.epsilon)
-        diags.append(StepDiagnostics(_energy(g, d, threshold), m, cur.max_pairwise_diff()))
+        diags.append(StepDiagnostics(_energy_terms(g, d, threshold)[1], m, cur.max_pairwise_diff()))
         converged = diags[-1].max_diff <= convergence_tol and m == g.edge_count
         if converged or len(states) > max_steps:
             break

@@ -85,7 +85,11 @@ class Graph:
         eu, ev = self._ends
         ids = np.arange(eu.size)
         src, dst, eid = np.concatenate((eu, ev)), np.concatenate((ev, eu)), np.concatenate((ids, ids))
-        order = np.lexsort((src, dst))
+        # within one dst, the lower neighbors (src = eu) come first, then the higher
+        # ones (src = ev), each group ascending in edge order: a stable sort on dst
+        # alone gives the (dst, src) order.  lexsort, not argsort(kind="stable"):
+        # the same sort, but argsort maps ~0.1 MB more code into a verify process
+        order = np.lexsort((dst,))
         half = src[order], dst[order], eid[order]
         for a in half:
             a.setflags(write=False)
@@ -106,8 +110,15 @@ class Graph:
         return len(self.neighbors(v))
 
     @cached_property
+    def _degree_array(self) -> np.ndarray:
+        """Vertex degrees as a read-only intp array, vertex v at index v - 1."""
+        deg = np.bincount(np.concatenate(self._ends), minlength=self.n)
+        deg.setflags(write=False)
+        return deg
+
+    @cached_property
     def degrees(self) -> tuple[int, ...]:
-        return tuple(np.bincount(np.concatenate(self._ends), minlength=self.n).tolist())
+        return tuple(self._degree_array.tolist())
 
     @property
     def max_degree(self) -> int:

@@ -109,6 +109,17 @@ class TestDecrementBound(unittest.TestCase):
             rec = lyapunov_record(g, s, Threshold(10.0))
             self.assertEqual([type(v) for v in (rec.z, rec.decrement, rec.bound)], [float] * 3)
 
+    def test_length_mismatch(self):
+        # the certificate checks the state's length before its first index: a
+        # short state would otherwise raise IndexError, a long one a broadcast error
+        for values in ([1.0, 2.0], [1.0, 2.0, 3.0, 4.0]):
+            want = f"state has {len(values)} entries but graph has 3 vertices"
+            for eps in (Threshold(1.0), Threshold.infinite()):
+                with self.assertRaisesRegex(ValueError, f"^{want}$"):
+                    lyapunov_record(P3, GarbageState(values), eps)
+                with self.assertRaisesRegex(ValueError, f"^{want}$"):
+                    next(analysis._lyapunov_steps(P3, GarbageState(values), eps))
+
     def test_overflowing_next_state_is_rejected(self):
         # the centre's next amount is 1e308 + 1e308 = inf: the certificate
         # path validates the next state like step does
@@ -287,7 +298,7 @@ class TestConvergenceReport(unittest.TestCase):
         locked = run(P3, GarbageState([0.0, 1.0, 5.0]), Threshold(2.0), max_steps=50)
         converging = run(C4, GarbageState([0.0, 1.0, 2.0, 3.0]), Threshold.infinite())
         with mock.patch.object(analysis, "effective_edges", no_pass), \
-                mock.patch.object(analysis, "_active", no_pass), mock.patch.object(analysis, "_advance", no_pass), \
+                mock.patch.object(analysis, "_active", no_pass), mock.patch.object(analysis, "_next_values", no_pass), \
                 mock.patch.object(dynamics, "_active", no_pass):
             self.assertFalse(convergence_report(locked).converged)
             self.assertTrue(convergence_report(converging).converged)

@@ -53,8 +53,17 @@ SIMULATE_GOLDEN = {
     ),
 }
 
-VERIFY_ARGV = ["verify", "--suite", "lyapunov", "--trials", "12", "--sizes", "3:30", "--seed", "11"]
-VERIFY_GOLDEN = "b26297ac844d3c5bd3a2995b5472e4a9f69e6aea0fa69a4e1bbd83aad15627db"
+# name -> (argv, sha256 of stdout report)
+VERIFY_GOLDEN = {
+    "mixed_sizes": (
+        ["verify", "--suite", "lyapunov", "--trials", "12", "--sizes", "3:30", "--seed", "11"],
+        "b26297ac844d3c5bd3a2995b5472e4a9f69e6aea0fa69a4e1bbd83aad15627db",
+    ),
+    "large_dense": (
+        ["verify", "--suite", "lyapunov", "--trials", "6", "--sizes", "80:80", "--seed", "0"],
+        "86c500842b67d33d8d4b14538fb6698865d5c7ce5a7051f51b51f4a8d880106c",
+    ),
+}
 
 
 def sha256(data: bytes) -> str:
@@ -81,9 +90,11 @@ class TestGoldenBytes(unittest.TestCase):
                     self.assertEqual(sha256(fh.read()), csv_digest)
 
     def test_verify_lyapunov_report(self):
-        code, out = run_main(VERIFY_ARGV)
-        self.assertEqual(code, 0)
-        self.assertEqual(sha256(out.encode()), VERIFY_GOLDEN)
+        for name, (argv, digest) in VERIFY_GOLDEN.items():
+            with self.subTest(name):
+                code, out = run_main(argv)
+                self.assertEqual(code, 0)
+                self.assertEqual(sha256(out.encode()), digest)
 
 
 if __name__ == "__main__":

@@ -161,6 +161,18 @@ class TestGraphMatchesTupleBuild(unittest.TestCase):
                 first = first or g
                 self.assertEqual(g, first, msg=msg)
 
+    def test_half_edges_equal_the_lexsort_order(self):
+        # Graph sorts the half-edges by dst alone, stably; the (dst, src) lexsort
+        # of the same concatenation must give the same three arrays
+        rng = Xoshiro256StarStar(derive_seed(7070, 2))
+        graphs = [random_connected_graph(80, rng) for _ in range(8)]
+        graphs += [generate_graph("erdos_renyi", 1000, 0.01, seed=seed) for seed in range(2)]
+        graphs += [generate_graph(kind, n) for kind in ("cycle", "complete", "star") for n in (1, 2, 3, 40)]
+        for g in graphs:
+            _, want_half = ref_arrays(g.edge_list)
+            for got, ref in zip(g._half_edges, want_half):
+                self.assertEqual(got.tobytes(), ref.tobytes(), msg=f"n={g.n} edges={g.edge_count}")
+
     def test_first_bad_pair_gives_the_tuple_loop_error(self):
         rng = Xoshiro256StarStar(derive_seed(7070, 1))
         for trial in range(200):
@@ -200,11 +212,13 @@ class TestGraphMatchesTupleBuild(unittest.TestCase):
         # the kernels while the cached edges, edge_list and hash kept the old set
         for g in (Graph(4, [(1, 2), (3, 4)]), generate_graph("erdos_renyi", 30, 0.2, seed=3)):
             views = (g.edges, g.edge_list, hash(g))
-            for a in (*g._ends, *g._half_edges):
+            for a in (*g._ends, *g._half_edges, g._degree_array):
                 with self.assertRaises(ValueError):
                     a[1] = 0
             self.assertEqual((g.edges, g.edge_list, hash(g)), views)
             self.assertEqual(g.degrees, tuple(sum(v in e for e in g.edges) for v in range(1, g.n + 1)))
+            self.assertEqual(g._degree_array.dtype, np.intp)
+            self.assertEqual(g._degree_array.tolist(), list(g.degrees))
             for v in range(1, g.n + 1):
                 self.assertEqual(g.neighbors(v), tuple(sorted(u for e in g.edges if v in e for u in e if u != v)))
 

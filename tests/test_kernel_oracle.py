@@ -8,12 +8,14 @@ tolerance: the CSV and summary bytes depend on every last digit.
 
 import math
 import unittest
-from itertools import compress
+from itertools import compress, islice
+from unittest import mock
 
 import numpy as np
 
-from garbagegame.analysis import _lyapunov_step, decrement_lower_bound, lyapunov_record, lyapunov_z
-from garbagegame.dynamics import ActiveTopology, GarbageState, Threshold, _active, effective_edges, run, step
+from garbagegame import dynamics
+from garbagegame.analysis import _lyapunov_steps, decrement_lower_bound, lyapunov_record, lyapunov_z
+from garbagegame.dynamics import ActiveTopology, GarbageState, Threshold, _active, _exchange, effective_edges, run, step
 from garbagegame.graph import Graph, connected_components, generate_graph, laplacian, random_connected_graph
 from garbagegame.rng import Xoshiro256StarStar, derive_seed
 
@@ -159,7 +161,7 @@ class TestKernelMatchesLoops(unittest.TestCase):
                 self.assert_same_bits(rec.z, ref_lyapunov_z(g, cur, eps), msg)
                 self.assert_same_bits(rec.decrement, ref_decrement(g, cur, eps), msg)
                 self.assert_same_bits(rec.bound, ref_decrement_lower_bound(g, cur, eps), msg)
-                _, nxt = _lyapunov_step(g, s, Threshold(eps))
+                _, nxt = next(_lyapunov_steps(g, s, Threshold(eps)))
                 self.assertEqual(nxt.values.tobytes(), got.values.tobytes(), msg=f"{msg} t={t}")
                 self.assertEqual(nxt.time, t + 1, msg=msg)
                 cur = want.tolist()
@@ -179,6 +181,55 @@ class TestKernelMatchesLoops(unittest.TestCase):
                 active = sum(1 for u, v in g.edge_list if abs(values[u - 1] - values[v - 1]) <= eps)
                 self.assertEqual(diag.active_edges, active, msg=msg)
                 self.assertEqual(effective_edges(g, state, Threshold(eps)).edge_count, active, msg=msg)
+
+    def test_carried_orbit_matches_chained_records_and_loops(self):
+        # the orbit carries each next state's differences, mask and squares into
+        # the following step; a fresh one-step record from that state, and the
+        # loops, must give the same bits
+        seen = set()
+        for k, (g, x, eps) in enumerate(instances(derive_seed(4042, 0), 120)):
+            msg = f"instance {k}: n={g.n} edges={g.edge_count} eps={eps!r}"
+            seen |= {("n", g.n), ("inf", math.isinf(eps)), ("decade", math.ceil(math.log10(max(x) or 1.0)))}
+            seen.add(("star", g.n >= 3 and max(g.degrees) == g.n - 1 == g.edge_count))
+            seen.add(("tie", any(abs(x[u - 1] - x[v - 1]) == eps for u, v in g.edge_list)))
+            s, cur = GarbageState(x), x
+            for rec, nxt in islice(_lyapunov_steps(g, s, Threshold(eps)), 40):
+                self.assertEqual(repr(rec), repr(lyapunov_record(g, s, eps)), msg=f"{msg} t={s.time}")
+                self.assert_same_bits(rec.z, ref_lyapunov_z(g, cur, eps), msg)
+                self.assert_same_bits(rec.decrement, ref_decrement(g, cur, eps), msg)
+                self.assert_same_bits(rec.bound, ref_decrement_lower_bound(g, cur, eps), msg)
+                seen.add(("no active edge", rec.bound == 0.0 and not any(
+                    abs(cur[u - 1] - cur[v - 1]) <= eps for u, v in g.edge_list)))
+                s, cur = step(g, s, eps), ref_step(g, cur, eps).tolist()
+                self.assertEqual(nxt.values.tobytes(), s.values.tobytes(), msg=f"{msg} t={s.time}")
+                self.assertEqual(nxt.values.tobytes(), np.array(cur).tobytes(), msg=f"{msg} t={s.time}")
+                self.assertEqual(nxt.time, s.time, msg=msg)
+        for case in (("n", 2), ("star", True), ("tie", True), ("no active edge", True), ("inf", True)):
+            self.assertIn(case, seen)
+        for decade in (-6, 0, 150):  # amounts up to 1e-6, 1 and 1e150
+            self.assertIn(("decade", decade), seen)
+
+    def test_all_active_exchange_matches_masked_path(self):
+        for k, (g, x, _) in enumerate(instances(derive_seed(4043, 0), 200)):
+            msg = f"instance {k}: n={g.n} edges={g.edge_count}"
+            x = np.array(x)
+            masked = _exchange(g, x, np.ones(g.edge_count, dtype=bool))
+            for got, want in zip(_exchange(g, x, None), masked):
+                self.assertEqual(got.dtype, want.dtype, msg=msg)
+                self.assertEqual(got.tobytes(), want.tobytes(), msg=msg)
+
+    def test_all_active_step_skips_the_mask(self):
+        masks = []
+        def spy(g, x, mask):
+            masks.append(mask)
+            return _exchange(g, x, mask)
+
+        g, s = generate_graph("cycle", 5), GarbageState([0.0, 1.0, 2.0, 3.0, 9.0])
+        with mock.patch.object(dynamics, "_exchange", spy):
+            step(g, s, Threshold.infinite())  # every edge active
+            step(g, s, Threshold(5.0))  # (4, 5) and (1, 5) inactive
+        self.assertIsNone(masks[0])
+        self.assertEqual(masks[1].tolist(), [True, False, True, True, False])
 
     def test_tie_is_active(self):
         g = generate_graph("path", 3)
