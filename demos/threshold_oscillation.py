@@ -11,6 +11,7 @@ averaging.
 """
 
 from garbagegame import GarbageState, Threshold, convergence_report, effective_edges, generate_graph, run
+from garbagegame.graph import connected_components
 
 p3 = generate_graph("path", 3)
 s0 = GarbageState([0.0, 1.0, 5.0])
@@ -18,7 +19,7 @@ s0 = GarbageState([0.0, 1.0, 5.0])
 print("epsilon = 2: the far agent is cut off")
 topo = effective_edges(p3, s0, Threshold(2.0))
 print(f"  active edges at t=0: {sorted(topo.edges)}")
-print(f"  components:          {sorted(topo.components(), key=min)}")
+print(f"  components:          {sorted(connected_components(topo.n, topo.edge_list), key=min)}")
 
 traj = run(p3, s0, Threshold(2.0), max_steps=8)
 for state in traj.states:

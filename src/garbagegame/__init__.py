@@ -29,7 +29,6 @@ from .analysis import (
     lyapunov_z,
 )
 from .dynamics import (
-    ActiveTopology,
     GarbageState,
     StepDiagnostics,
     Threshold,
@@ -64,7 +63,6 @@ from .spectral import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActiveTopology",
     "ConvergenceReport",
     "DisplacementBound",
     "GRAPH_KINDS",

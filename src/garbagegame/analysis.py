@@ -64,11 +64,14 @@ def lyapunov_z(g: Graph, s: GarbageState, eps: "Threshold | float") -> float:
 
 
 def _decrement_bound(edge_count: int, deg: np.ndarray, x: np.ndarray, x_next: np.ndarray) -> float:
-    """4 * sum_i (|E_t| - |N_i|) * (x_i - x_i')^2, summed in vertex order."""
+    """4 * sum_i (|E_t| - |N_i|) * (x_i - x_i')^2, summed in vertex order.  It
+    saturates as _energy_terms' Z does: a term beyond the float64 range is inf,
+    and so is the bound, without an overflow warning."""
     if edge_count == 0:
         return 0.0
     d = x - x_next
-    return 4.0 * _ordered_sum((edge_count - deg) * d * d)
+    with np.errstate(over="ignore"):
+        return 4.0 * _ordered_sum((edge_count - deg) * d * d)
 
 
 def decrement_lower_bound(g: Graph, s: GarbageState, eps: "Threshold | float") -> float:
@@ -78,7 +81,7 @@ def decrement_lower_bound(g: Graph, s: GarbageState, eps: "Threshold | float") -
     stays while perfbench's test_tracer_restores_the_package pins its spans (ROADMAP.md item 2)."""
     threshold = as_threshold(eps)
     topo = effective_edges(g, s, threshold)
-    return _decrement_bound(topo.edge_count, np.array(topo.degrees), s.values, step(g, s, threshold).values)
+    return _decrement_bound(topo.edge_count, topo._degree_array, s.values, step(g, s, threshold).values)
 
 
 def _lyapunov_steps(

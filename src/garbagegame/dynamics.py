@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, connected_components, laplacian
+from .graph import Graph
 
 
 @dataclass(frozen=True)
@@ -82,11 +82,11 @@ class GarbageState:
         object.__setattr__(self, "values", arr)
 
     @classmethod
-    def _retimed(cls, s: "GarbageState", time: int) -> "GarbageState":
-        """The state s at another time, sharing s's validated read-only values."""
+    def _retimed(cls, s: "GarbageState", shift: int) -> "GarbageState":
+        """The state s shift steps later, sharing s's validated read-only values."""
         new = object.__new__(cls)
         object.__setattr__(new, "values", s.values)
-        object.__setattr__(new, "time", time)
+        object.__setattr__(new, "time", s.time + shift)
         return new
 
     @property
@@ -98,18 +98,6 @@ class GarbageState:
         return float(self.values.max() - self.values.min())
 
 
-class ActiveTopology(Graph):
-    """Active subgraph at one time step: the social graph's n vertices and its active edges."""
-
-    def laplacian(self) -> np.ndarray:
-        """Laplacian of the active graph as a float matrix."""
-        return laplacian(self).astype(np.float64)
-
-    def components(self) -> list[frozenset[int]]:
-        """Connected components of the active graph (isolated vertices included)."""
-        return connected_components(self.n, self.edge_list)
-
-
 @dataclass(frozen=True)
 class StepDiagnostics:
     """Per-state trajectory diagnostics."""
@@ -117,10 +105,6 @@ class StepDiagnostics:
     z: float
     active_edges: int
     max_diff: float
-
-
-def _retime_state(s: GarbageState, shift: int) -> GarbageState:
-    return GarbageState._retimed(s, s.time + shift)
 
 
 class PeriodicList(Sequence):
@@ -279,11 +263,11 @@ def _energy_terms(g: Graph, d: np.ndarray, threshold: Threshold) -> tuple[np.nda
         return sq, 2.0 * _ordered_sum(sq) + (non_edges * e2 if non_edges else 0.0)
 
 
-def effective_edges(g: Graph, s: GarbageState, eps: "Threshold | float") -> ActiveTopology:
+def effective_edges(g: Graph, s: GarbageState, eps: "Threshold | float") -> Graph:
     """The active subgraph on g's vertices: the social edges whose endpoint
     amounts differ by at most the threshold (inclusive comparison)."""
     _, mask = _active(g, s, as_threshold(eps).epsilon)
-    return ActiveTopology(g.n, np.column_stack(g._ends)[mask] + 1)
+    return Graph(g.n, np.column_stack(g._ends)[mask] + 1)
 
 
 def transition_matrix(g: Graph, s: GarbageState, eps: "Threshold | float") -> np.ndarray:
@@ -314,14 +298,6 @@ def _next_values(g: Graph, x: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray,
     return recv / m + (1.0 - deg / m) * x, deg, m
 
 
-def _advance(g: Graph, s: GarbageState, threshold: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """One kernel pass from s: the unvalidated next values, and s's edge
-    differences d, active degrees |N_i| and active edge count |E_t|."""
-    d, mask = _active(g, s, threshold)
-    x_next, deg, m = _next_values(g, s.values, mask)
-    return x_next, d, deg, m
-
-
 def step(g: Graph, s: GarbageState, eps: "Threshold | float") -> GarbageState:
     """Advance one synchronous step.
 
@@ -330,7 +306,8 @@ def step(g: Graph, s: GarbageState, eps: "Threshold | float") -> GarbageState:
     accumulate in ascending neighbor id so results are reproducible.
     Runs in O(n + |E|): the threshold is tested on every social edge.
     """
-    return GarbageState(_advance(g, s, as_threshold(eps).epsilon)[0], time=s.time + 1)
+    _, mask = _active(g, s, as_threshold(eps).epsilon)
+    return GarbageState(_next_values(g, s.values, mask)[0], time=s.time + 1)
 
 
 def run(
@@ -369,7 +346,8 @@ def run(
     states, diags = [s0], []
     while True:
         cur = states[-1]
-        x_next, d, _, m = _advance(g, cur, threshold.epsilon)
+        d, mask = _active(g, cur, threshold.epsilon)
+        x_next, _, m = _next_values(g, cur.values, mask)
         diags.append(StepDiagnostics(_energy_terms(g, d, threshold)[1], m, cur.max_pairwise_diff()))
         converged = diags[-1].max_diff <= convergence_tol and m == g.edge_count
         if converged or len(states) > max_steps:
@@ -378,7 +356,7 @@ def run(
         bits = nxt.values.tobytes()
         period = next((p for p in (1, 2) if p <= len(states) and states[-p].values.tobytes() == bits), 0)
         if period:
-            states = PeriodicList(states, period, max_steps + 1, _retime_state)
+            states = PeriodicList(states, period, max_steps + 1, GarbageState._retimed)
             diags = PeriodicList(diags, period, max_steps + 1)
             break
         states.append(nxt)

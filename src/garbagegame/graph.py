@@ -280,7 +280,7 @@ def is_star(g: Graph) -> bool:
 
 def laplacian(g: Graph) -> np.ndarray:
     """Combinatorial Laplacian L = D - A as an integer matrix (row sums zero)."""
-    L = np.diag(np.array(g.degrees, dtype=np.int64))
+    L = np.diag(g._degree_array.astype(np.int64))
     eu, ev = g._ends
     L[eu, ev] = -1
     L[ev, eu] = -1

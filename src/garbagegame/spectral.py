@@ -11,7 +11,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .dynamics import GarbageState, Threshold, _ordered_sum, as_threshold, effective_edges, step
-from .graph import Graph, is_connected, laplacian
+from .graph import Graph, connected_components, is_connected, laplacian
 
 ISOPERIMETRIC_MAX_ORDER = 20  # 2^n uint8 boundaries filled by numpy, ~7 MB at n = 20
 
@@ -129,7 +129,7 @@ def nontrivial_displacement_bound(
     comp = frozenset(int(v) for v in component)
     if not comp:
         raise ValueError("component must be nonempty")
-    if comp not in topo.components():
+    if comp not in connected_components(topo.n, topo.edge_list):
         raise ValueError("given vertex set is not a connected component of the active graph")
     rows = [v - 1 for v in sorted(comp)]
     vals = s.values[rows]

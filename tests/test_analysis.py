@@ -1,5 +1,6 @@
 import math
 import unittest
+import warnings
 from unittest import mock
 
 from garbagegame import analysis, dynamics
@@ -97,6 +98,14 @@ class TestDecrementBound(unittest.TestCase):
     def test_no_active_edges(self):
         s = GarbageState([0.0, 3.0, 6.0])
         self.assertEqual(decrement_lower_bound(P3, s, Threshold(2.0)), 0.0)
+
+    def test_overflow_saturates_to_inf(self):
+        # x - x' = (5e199, -1e200, 5e199) squares past the float64 range; the
+        # bound is inf, with no overflow warning, as Z is
+        s = GarbageState([1e200, 0.0, 1e200])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self.assertEqual(decrement_lower_bound(P3, s, Threshold.infinite()), math.inf)
 
     def test_record_invariants(self):
         rec = lyapunov_record(P3, GarbageState([0.0, 3.0, 6.0]), Threshold(10.0))

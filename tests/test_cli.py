@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -239,10 +240,35 @@ class TestValidate(unittest.TestCase):
         # t=40 shares the array of the orbit's other state: sharing alone must not skip the pair
         traj = run(generate_graph("path", 3), GarbageState([0.0, 1.0, 5.0]), Threshold(2.0), max_steps=50)
         states = list(traj.states)
-        states[40] = GarbageState._retimed(states[41], 40)
+        states[40] = GarbageState._retimed(states[41], -1)
         with self.assertRaises(CliError) as ctx:
             validate_trajectory(dataclasses.replace(traj, states=states, diagnostics=list(traj.diagnostics)))
         self.assertIn("step from t=39 does not reproduce t=40", str(ctx.exception))
+
+    def test_replayed_step_that_breaks_an_invariant(self):
+        # step is patched to return the stored successor, so the replay passes and the
+        # invariant checks decide: conservation first, then the hull
+        traj = run(generate_graph("path", 4), GarbageState([10.0, 11.0, 12.0, 13.0]), Threshold.infinite(),
+                   max_steps=5)
+        a, b = traj.states[2], traj.states[3].values
+        lo, hi = float(a.values.min()), float(a.values.max())
+        low, high = int(b.argmin()), int(b.argmax())
+        drifted = b.copy()
+        drifted[low] += 0.5 * (hi - b[low])  # stays in the hull
+        spilled = b.copy()
+        spilled[low] -= hi - b[high] + 1.0  # the same total, 1.0 above the hull
+        spilled[high] += hi - b[high] + 1.0
+        drift = r"^invalid trajectory: conservation drift \d\.\d{3}e[+-]\d+ exceeds \d\.\d{3}e[+-]\d+ at t=2$"
+        hull = f"invalid trajectory: hull grew at t=2: [{lo},{hi}] -> [{float(spilled.min())},{float(spilled.max())}]"
+        cases = (("drift", drifted, drift), ("hull", spilled, f"^{re.escape(hull)}$"), ("both", spilled + 5.0, drift))
+        for label, values, want in cases:
+            states = list(traj.states)
+            states[3] = GarbageState(values, time=3)
+            tampered = dataclasses.replace(traj, states=states, diagnostics=list(traj.diagnostics))
+            with mock.patch("garbagegame.cli.step", lambda g, s, eps: states[s.time + 1]), \
+                    self.assertRaises(CliError, msg=label) as ctx:
+                validate_trajectory(tampered)
+            self.assertRegex(str(ctx.exception), want, msg=label)
 
 
 class TestVerify(unittest.TestCase):
@@ -289,6 +315,16 @@ class TestVerify(unittest.TestCase):
         code, _, err = run_cli(["verify", "--suite", "lyapunov", "--trials", "2",
                                 "--sizes", "5:3"])
         self.assertEqual(code, 1)
+        self.assertIn("sizes must satisfy 2 <= lo <= hi, got 5:3", err)
+        code, _, err = run_cli(["verify", "--suite", "lyapunov", "--trials", "2",
+                                "--sizes", "3-9"])
+        self.assertEqual(code, 1)
+        self.assertIn("bad --sizes '3-9'; expected lo:hi", err)
+        with self.assertRaises(CliError) as ctx:
+            run_verify("nope", 1, 0, 3, 10)
+        self.assertIn("unknown suite 'nope'", str(ctx.exception))
+        self.assertIn("'conservation', 'lyapunov', 'triviality', 'hull', 'equivalence', 'cheeger', 'displacement'",
+                      str(ctx.exception))
 
     def test_triviality_suite_builds_no_topology(self):
         # whether every social edge stayed active is read from the kernel's mask

@@ -119,6 +119,21 @@ def counting(calls, real):
     return counted
 
 
+def counting_passes(passes, real):
+    """Wraps the kernel's _next_values(g, x, mask): records each pass's amounts array."""
+    def counted(g, x, mask):
+        passes.append(x)
+        return real(g, x, mask)
+
+    return counted
+
+
+def pass_times(passes, traj):
+    """The time of the stored state whose amounts array each kernel pass read (None if none)."""
+    stored = traj.states[: traj.distinct_length()]
+    return [next((s.time for s in stored if s.values is x), None) for x in passes]
+
+
 class TestMatchesPlainLoop(unittest.TestCase):
 
     def assert_same_run(self, g, s0, threshold, max_steps, tol=1e-9, msg=""):
@@ -223,12 +238,12 @@ class TestBitwiseNotValuePeriodicity(unittest.TestCase):
 class TestStepCalls(unittest.TestCase):
 
     def test_p3_tail_is_not_stepped(self):
-        advances, steps = [], []
+        passes, steps = [], []
         counted_step = counting(steps, dynamics.step)
-        with mock.patch.object(dynamics, "_advance", counting(advances, dynamics._advance)), \
+        with mock.patch.object(dynamics, "_next_values", counting_passes(passes, dynamics._next_values)), \
                 mock.patch.object(dynamics, "step", counted_step), mock.patch.object(cli, "step", counted_step):
             traj = run(P3, GarbageState([0.0, 1.0, 5.0]), Threshold(2.0), max_steps=100_000)
-            self.assertEqual(advances, [0, 1])  # one pass per distinct state; t=2 repeats t=0
+            self.assertEqual(pass_times(passes, traj), [0, 1])  # one pass per distinct state; t=2 repeats t=0
             self.assertEqual(steps, [])
             validate_trajectory(traj)
             start, period = traj.periodic_tail
@@ -236,11 +251,11 @@ class TestStepCalls(unittest.TestCase):
         self.assertEqual(traj.steps_run, 100_000)
         self.assertEqual(traj.final_state.values.tolist(), [0.0, 1.0, 5.0])
 
-    def test_one_advance_per_state(self):
-        advances = []
-        with mock.patch.object(dynamics, "_advance", counting(advances, dynamics._advance)):
+    def test_one_kernel_pass_per_state(self):
+        passes = []
+        with mock.patch.object(dynamics, "_next_values", counting_passes(passes, dynamics._next_values)):
             traj = run(generate_graph("cycle", 6), GarbageState([0.0, 2.0, 4.0, 6.0, 8.0, 10.0]), Threshold(8.0))
-        self.assertEqual(advances, [s.time for s in traj.states])  # the last state's pass included
+        self.assertEqual(pass_times(passes, traj), [s.time for s in traj.states])  # the last state's pass included
 
     def test_bit_equal_copies_are_replayed_to_the_same_output(self):
         # a trajectory run did not build: nothing is shared, so every pair is replayed
@@ -338,10 +353,13 @@ class TestCompressedTrajectory(unittest.TestCase):
 
     def test_csv_makes_no_tail_state(self):
         for label, g, s0, threshold, max_steps in self.cases():
-            traj, want = run(g, s0, threshold, max_steps=max_steps), plain_run(g, s0, threshold, max_steps)
+            want = plain_run(g, s0, threshold, max_steps)
             with mock.patch.object(GarbageState, "_retimed", wraps=GarbageState._retimed) as retimed:
+                traj = run(g, s0, threshold, max_steps=max_steps)  # its periodic lists retime through the spy
                 text = trajectory_csv(traj)
-            self.assertEqual(retimed.call_count, 0, msg=label)
+                self.assertEqual(retimed.call_count, 0, msg=label)
+                traj.states[-1]
+                self.assertEqual(retimed.call_count, 1, msg=label)  # the spy sees a tail state being made
             self.assertEqual(text, plain_csv(want), msg=label)
 
 

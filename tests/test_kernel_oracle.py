@@ -15,7 +15,7 @@ import numpy as np
 
 from garbagegame import dynamics
 from garbagegame.analysis import _lyapunov_steps, decrement_lower_bound, lyapunov_record, lyapunov_z
-from garbagegame.dynamics import ActiveTopology, GarbageState, Threshold, _active, _exchange, effective_edges, run, step
+from garbagegame.dynamics import GarbageState, Threshold, _active, _exchange, effective_edges, run, step
 from garbagegame.graph import Graph, connected_components, generate_graph, laplacian, random_connected_graph
 from garbagegame.rng import Xoshiro256StarStar, derive_seed
 
@@ -100,7 +100,7 @@ def ref_active_topology(g, s, threshold):
         "active_edges": active_edges,
         "neighborhoods": tuple(tuple(flat[a:b]) for a, b in zip([0] + stops, stops)),
         "edge_count": int(np.count_nonzero(mask)),
-        "laplacian": laplacian(Graph(g.n, active_edges)).astype(np.float64),
+        "laplacian": laplacian(Graph(g.n, active_edges)),
         "components": connected_components(g.n, active_edges),
     }
 
@@ -241,7 +241,7 @@ class TestKernelMatchesLoops(unittest.TestCase):
 
 
 
-class TestActiveTopologyMatchesEagerBuild(unittest.TestCase):
+class TestActiveSubgraphMatchesEagerBuild(unittest.TestCase):
 
     def test_every_view_matches(self):
         for k, (g, x, eps) in enumerate(instances(derive_seed(4041, 0), 150)):
@@ -254,10 +254,13 @@ class TestActiveTopologyMatchesEagerBuild(unittest.TestCase):
                     self.assertEqual(topo.neighbors(v), want["neighborhoods"][v - 1], msg=msg)
                 self.assertEqual(topo.edge_count, want["edge_count"], msg=msg)
                 self.assertEqual(topo.degrees, tuple(map(len, want["neighborhoods"])), msg=msg)
-                self.assertEqual(topo.components(), want["components"], msg=msg)
-                L = topo.laplacian()
-                self.assertEqual(L.dtype, np.float64, msg=msg)
+                self.assertEqual(connected_components(topo.n, topo.edge_list), want["components"], msg=msg)
+                L = laplacian(topo)
+                self.assertEqual(L.dtype, np.int64, msg=msg)
                 self.assertEqual(L.tobytes(), want["laplacian"].tobytes(), msg=msg)
+                if topo.edge_count:  # the step matrix I - L/|E_t|: int64 L / m has the bits of a float L / m
+                    float_form = want["laplacian"].astype(np.float64) / topo.edge_count
+                    self.assertEqual((L / topo.edge_count).tobytes(), float_form.tobytes(), msg=msg)
 
     def test_one_active_set_is_one_value(self):
         p3 = generate_graph("path", 3)
@@ -265,7 +268,8 @@ class TestActiveTopologyMatchesEagerBuild(unittest.TestCase):
         b = effective_edges(p3, GarbageState([3.0, 3.5, 9.0]), Threshold(2.0))
         self.assertEqual(a, b)
         self.assertEqual(hash(a), hash(b))
-        self.assertEqual(a, ActiveTopology(3, frozenset({(1, 2)})))
+        self.assertIs(type(a), Graph)
+        self.assertEqual(a, Graph(3, frozenset({(1, 2)})))
         self.assertNotEqual(a, effective_edges(p3, GarbageState([0.0, 1.0, 2.0]), Threshold(2.0)))
 
 
