@@ -59,7 +59,7 @@ def lyapunov_z(g: Graph, s: GarbageState, eps: "Threshold | float") -> float:
     (the capped form would be infinite; the dropped terms are constant).
     """
     threshold = as_threshold(eps)
-    d, _ = _active(g, s, threshold.epsilon)
+    d, _, _ = _active(g, s, threshold.epsilon)
     return _energy_terms(g, d, threshold)[1]
 
 
@@ -95,17 +95,17 @@ def _lyapunov_steps(
     over into the following step.  Each next state is validated before its
     predecessor's terms are computed.
     """
-    d, mask = _active(g, s, threshold.epsilon)
-    x_next, deg, m = _next_values(g, s.values, mask)
+    d, mask, gathered = _active(g, s, threshold.epsilon)
+    x_next, deg, m = _next_values(g, s.values, gathered, mask)
     nxt = GarbageState(x_next, time=s.time + 1)
     sq, z = _energy_terms(g, d, threshold)
     while True:
-        d, mask = _active(g, nxt, threshold.epsilon)
+        d, mask, gathered = _active(g, nxt, threshold.epsilon)
         sq_next, z_next = _energy_terms(g, d, threshold)
         decrement = 2.0 * _ordered_sum(sq - sq_next)
         yield LyapunovRecord(z, decrement, _decrement_bound(m, deg, s.values, nxt.values)), nxt
         s, sq, z = nxt, sq_next, z_next
-        x_next, deg, m = _next_values(g, s.values, mask)
+        x_next, deg, m = _next_values(g, s.values, gathered, mask)
         nxt = GarbageState(x_next, time=s.time + 1)
 
 

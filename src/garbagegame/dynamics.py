@@ -218,25 +218,13 @@ def _check_compatible(g: Graph, s: GarbageState) -> None:
         raise ValueError(f"state has {s.n} entries but graph has {g.n} vertices")
 
 
-def _active(g: Graph, s: GarbageState, threshold: float) -> tuple[np.ndarray, np.ndarray]:
-    """Edge differences d = x[eu] - x[ev] in edge order, and the active mask |d| <= threshold."""
+def _active(g: Graph, s: GarbageState, threshold: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Edge differences d = x[eu] - x[ev] in edge order, the active mask |d| <= threshold,
+    and the tail amounts x[tails] of g's orientations, which _next_values sums."""
     _check_compatible(g, s)
-    eu, ev = g._ends
-    d = s.values[eu] - s.values[ev]
-    return d, np.abs(d) <= threshold
-
-
-def _exchange(g: Graph, x: np.ndarray, mask: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """Per vertex: the sum of its active neighbors' amounts, accumulated in ascending
-    neighbor id (bincount adds in input order), and its active degree.  mask None:
-    every edge is active, so every half-edge is read in stored order, the same input
-    order as an all-true mask, and the degrees are g's own."""
-    src, dst, eid = g._half_edges
-    if mask is None:
-        return np.bincount(dst, weights=x[src], minlength=g.n), g._degree_array
-    on = mask[eid]
-    src, dst = src[on], dst[on]
-    return np.bincount(dst, weights=x[src], minlength=g.n), np.bincount(dst, minlength=g.n)
+    gathered, m = s.values[g._orientations[0]], g.edge_count
+    d = gathered[:m] - gathered[m:]
+    return d, np.abs(d) <= threshold, gathered
 
 
 def _ordered_sum(terms: np.ndarray) -> float:
@@ -266,7 +254,7 @@ def _energy_terms(g: Graph, d: np.ndarray, threshold: Threshold) -> tuple[np.nda
 def effective_edges(g: Graph, s: GarbageState, eps: "Threshold | float") -> Graph:
     """The active subgraph on g's vertices: the social edges whose endpoint
     amounts differ by at most the threshold (inclusive comparison)."""
-    _, mask = _active(g, s, as_threshold(eps).epsilon)
+    _, mask, _ = _active(g, s, as_threshold(eps).epsilon)
     return Graph(g.n, np.column_stack(g._ends)[mask] + 1)
 
 
@@ -277,7 +265,7 @@ def transition_matrix(g: Graph, s: GarbageState, eps: "Threshold | float") -> np
     remainder 1 - |N_i|/|E_t|.  With no active edges the matrix is the
     identity.
     """
-    _, mask = _active(g, s, as_threshold(eps).epsilon)
+    _, mask, _ = _active(g, s, as_threshold(eps).epsilon)
     m = int(np.count_nonzero(mask))
     if m == 0:
         return np.eye(g.n)
@@ -288,14 +276,27 @@ def transition_matrix(g: Graph, s: GarbageState, eps: "Threshold | float") -> np
     return A
 
 
-def _next_values(g: Graph, x: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """The unvalidated next values from the amounts x and their active mask, with
-    the active degrees |N_i| and the active edge count |E_t|."""
+def _next_values(
+    g: Graph, x: np.ndarray, gathered: np.ndarray, mask: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """The unvalidated next values from the amounts x, their tail amounts gathered
+    (see _active) and the active mask, with the active degrees |N_i| and the active
+    edge count |E_t|.  Receipts are summed over g's orientations in stored order
+    (bincount adds in input order), so in ascending neighbor id; an inactive one adds
+    ±0.0, which changes no partial sum, as every bin starts at +0.0 and the amounts
+    are finite and nonnegative.  With every edge active no mask is applied and the
+    degrees are g's own."""
     m = int(np.count_nonzero(mask))
     if m == 0:
         return x, np.zeros(g.n, dtype=np.intp), 0
-    recv, deg = _exchange(g, x, None if m == g.edge_count else mask)
-    return recv / m + (1.0 - deg / m) * x, deg, m
+    heads = g._orientations[1]
+    if m == g.edge_count:
+        recv, deg = np.bincount(heads, weights=gathered, minlength=g.n), g._degree_array
+    else:
+        on = np.concatenate((mask, mask), dtype=np.float64)  # cast once for both sums
+        recv = np.bincount(heads, weights=gathered * on, minlength=g.n)
+        deg = np.bincount(heads, weights=on, minlength=g.n)
+    return recv / m + (1.0 - deg / m) * x, deg.astype(np.intp, copy=False), m
 
 
 def step(g: Graph, s: GarbageState, eps: "Threshold | float") -> GarbageState:
@@ -306,8 +307,8 @@ def step(g: Graph, s: GarbageState, eps: "Threshold | float") -> GarbageState:
     accumulate in ascending neighbor id so results are reproducible.
     Runs in O(n + |E|): the threshold is tested on every social edge.
     """
-    _, mask = _active(g, s, as_threshold(eps).epsilon)
-    return GarbageState(_next_values(g, s.values, mask)[0], time=s.time + 1)
+    _, mask, gathered = _active(g, s, as_threshold(eps).epsilon)
+    return GarbageState(_next_values(g, s.values, gathered, mask)[0], time=s.time + 1)
 
 
 def run(
@@ -346,8 +347,8 @@ def run(
     states, diags = [s0], []
     while True:
         cur = states[-1]
-        d, mask = _active(g, cur, threshold.epsilon)
-        x_next, _, m = _next_values(g, cur.values, mask)
+        d, mask, gathered = _active(g, cur, threshold.epsilon)
+        x_next, _, m = _next_values(g, cur.values, gathered, mask)
         diags.append(StepDiagnostics(_energy_terms(g, d, threshold)[1], m, cur.max_pairwise_diff()))
         converged = diags[-1].max_diff <= convergence_tol and m == g.edge_count
         if converged or len(states) > max_steps:

@@ -135,12 +135,13 @@ class TestEffectiveEdges(unittest.TestCase):
             effective_edges(P3, GarbageState([1.0, 2.0]), Threshold(1.0))
 
     def test_neighbors_outside_the_vertex_range(self):
-        # a range check, not tuple indexing: v = 0 must not read vertex 3's neighbors
+        # a range check, not array indexing: v = 0 must not read vertex 3's neighbors or degree
         topo = effective_edges(P3, GarbageState([0.0, 1.0, 5.0]), Threshold(10.0))
-        for v in (0, 4):
-            with self.assertRaises(GraphError) as ctx:
-                topo.neighbors(v)
-            self.assertEqual(str(ctx.exception), f"vertex {v} outside 1..3")
+        for query in (topo.neighbors, topo.degree):
+            for v in (0, 4):
+                with self.assertRaises(GraphError) as ctx:
+                    query(v)
+                self.assertEqual(str(ctx.exception), f"vertex {v} outside 1..3")
 
 
 class TestTransitionMatrix(unittest.TestCase):

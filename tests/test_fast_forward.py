@@ -120,10 +120,10 @@ def counting(calls, real):
 
 
 def counting_passes(passes, real):
-    """Wraps the kernel's _next_values(g, x, mask): records each pass's amounts array."""
-    def counted(g, x, mask):
+    """Wraps the kernel's _next_values(g, x, gathered, mask): records each pass's amounts array."""
+    def counted(g, x, gathered, mask):
         passes.append(x)
-        return real(g, x, mask)
+        return real(g, x, gathered, mask)
 
     return counted
 

@@ -41,12 +41,20 @@ def ref_canonical_edges(n, edges):
 
 
 def ref_arrays(edges):
-    """The endpoint arrays and half-edges as they were derived from the edge set."""
+    """From the edge set: the endpoint arrays, the two orientations (tails, heads),
+    and the half-edges (src, dst) sorted by (dst, src), whose src runs are the
+    neighbor tuples in the kernels' summation order."""
     eu, ev = np.array(sorted(edges), dtype=np.intp).reshape(-1, 2).T.copy() - 1
-    ids = np.arange(eu.size)
-    src, dst, eid = np.concatenate((eu, ev)), np.concatenate((ev, eu)), np.concatenate((ids, ids))
+    src, dst = np.concatenate((eu, ev)), np.concatenate((ev, eu))
     order = np.lexsort((src, dst))
-    return (eu, ev), (src[order], dst[order], eid[order])
+    return (eu, ev), (src, dst), (src[order], dst[order])
+
+
+def ref_neighbors(half, n):
+    """Each vertex's neighbor tuple, cut from the sorted half-edges."""
+    src, dst = half
+    stops = np.searchsorted(dst, np.arange(n + 1))
+    return [tuple((src[a:b] + 1).tolist()) for a, b in zip(stops, stops[1:])]
 
 
 def random_pairs(rng, n):
@@ -142,7 +150,7 @@ class TestGraphMatchesTupleBuild(unittest.TestCase):
             n = 1 + rng.randrange(25)
             pairs = random_pairs(rng, n) if trial % 10 else []
             want = ref_canonical_edges(n, pairs)
-            want_ends, want_half = ref_arrays(want)
+            want_ends, want_orientations, _ = ref_arrays(want)
             # the text a tuple-built graph printed for its edges in lexicographic order
             want_repr = f"Graph(n={n}, edges={ref_canonical_edges(n, sorted(want))!r})"
             first = None
@@ -152,7 +160,7 @@ class TestGraphMatchesTupleBuild(unittest.TestCase):
                 self.assertEqual(g.edges, want, msg=msg)
                 self.assertEqual(g.edge_list, tuple(sorted(want)), msg=msg)
                 self.assertEqual(g.edge_count, len(want), msg=msg)
-                for got, ref in zip(g._ends + g._half_edges, want_ends + want_half):
+                for got, ref in zip(g._ends + g._orientations, want_ends + want_orientations):
                     self.assertEqual(got.dtype, np.intp, msg=msg)
                     self.assertEqual(got.tobytes(), ref.tobytes(), msg=msg)
                 self.assertEqual(repr(g), want_repr, msg=msg)
@@ -160,17 +168,22 @@ class TestGraphMatchesTupleBuild(unittest.TestCase):
                 first = first or g
                 self.assertEqual(g, first, msg=msg)
 
-    def test_half_edges_equal_the_lexsort_order(self):
-        # Graph sorts the half-edges by dst alone, stably; the (dst, src) lexsort
-        # of the same concatenation must give the same three arrays
+    def test_neighbors_follow_the_lexsort_order(self):
+        # neighbors(v) reads the orientations whose head is v in stored order; the
+        # half-edges sorted by (dst, src) give each vertex's neighbors ascending
         rng = Xoshiro256StarStar(derive_seed(7070, 2))
         graphs = [random_connected_graph(80, rng) for _ in range(8)]
         graphs += [generate_graph("erdos_renyi", 1000, 0.01, seed=seed) for seed in range(2)]
         graphs += [generate_graph(kind, n) for kind in ("cycle", "complete", "star") for n in (1, 2, 3, 40)]
         for g in graphs:
-            _, want_half = ref_arrays(g.edge_list)
-            for got, ref in zip(g._half_edges, want_half):
-                self.assertEqual(got.tobytes(), ref.tobytes(), msg=f"n={g.n} edges={g.edge_count}")
+            _, want_orientations, want_half = ref_arrays(g.edge_list)
+            msg = f"n={g.n} edges={g.edge_count}"
+            for got, ref in zip(g._orientations, want_orientations):
+                self.assertEqual(got.dtype, np.intp, msg=msg)
+                self.assertEqual(got.tobytes(), ref.tobytes(), msg=msg)
+            want = ref_neighbors(want_half, g.n)
+            self.assertEqual([g.neighbors(v) for v in range(1, g.n + 1)], want, msg=msg)
+            self.assertEqual([g.degree(v) for v in range(1, g.n + 1)], list(map(len, want)), msg=msg)
 
     def test_first_bad_pair_gives_the_tuple_loop_error(self):
         rng = Xoshiro256StarStar(derive_seed(7070, 1))
@@ -214,7 +227,7 @@ class TestGraphMatchesTupleBuild(unittest.TestCase):
         # the kernels while the cached edges, edge_list and hash kept the old set
         for g in (Graph(4, [(1, 2), (3, 4)]), generate_graph("erdos_renyi", 30, 0.2, seed=3)):
             views = (g.edges, g.edge_list, hash(g))
-            for a in (*g._ends, *g._half_edges, g._degree_array):
+            for a in (*g._ends, *g._orientations, g._degree_array):
                 with self.assertRaises(ValueError):
                     a[1] = 0
             self.assertEqual((g.edges, g.edge_list, hash(g)), views)

@@ -15,7 +15,8 @@ import numpy as np
 
 from garbagegame import dynamics
 from garbagegame.analysis import _lyapunov_steps, decrement_lower_bound, lyapunov_record, lyapunov_z
-from garbagegame.dynamics import GarbageState, Threshold, _active, _exchange, effective_edges, run, step
+from garbagegame.cli import random_uniform_state
+from garbagegame.dynamics import GarbageState, Threshold, _active, _next_values, effective_edges, run, step
 from garbagegame.graph import Graph, connected_components, generate_graph, laplacian, random_connected_graph
 from garbagegame.rng import Xoshiro256StarStar, derive_seed
 
@@ -88,10 +89,15 @@ def ref_decrement(g, x, threshold):
 
 def ref_active_topology(g, s, threshold):
     """The eager build effective_edges made before the active topology became a
-    Graph: the edge set, each vertex's neighbor tuple cut from the half-edges,
-    and the Laplacian of a second Graph on the active edges."""
-    _, mask = _active(g, s, threshold)
-    src, dst, eid = g._half_edges
+    Graph: the edge set, each vertex's neighbor tuple cut from the half-edges
+    (src, dst, edge id) sorted by (dst, src), and the Laplacian of a second Graph
+    on the active edges."""
+    _, mask, _ = _active(g, s, threshold)
+    eu, ev = g._ends
+    ids = np.arange(g.edge_count)
+    src, dst, eid = np.concatenate((eu, ev)), np.concatenate((ev, eu)), np.concatenate((ids, ids))
+    order = np.lexsort((src, dst))
+    src, dst, eid = src[order], dst[order], eid[order]
     on = mask[eid]
     flat = (src[on] + 1).tolist()  # active neighbors, grouped by vertex, each group ascending
     stops = np.cumsum(np.bincount(dst[on], minlength=g.n)).tolist()
@@ -210,26 +216,42 @@ class TestKernelMatchesLoops(unittest.TestCase):
             self.assertIn(("decade", decade), seen)
 
     def test_all_active_exchange_matches_masked_path(self):
+        # the masked path, taken with an all-true mask once edge_count no longer
+        # says that the mask covers every edge
         for k, (g, x, _) in enumerate(instances(derive_seed(4043, 0), 200)):
             msg = f"instance {k}: n={g.n} edges={g.edge_count}"
             x = np.array(x)
-            masked = _exchange(g, x, np.ones(g.edge_count, dtype=bool))
-            for got, want in zip(_exchange(g, x, None), masked):
+            gathered, mask = x[g._orientations[0]], np.ones(g.edge_count, dtype=bool)
+            all_active = _next_values(g, x, gathered, mask)
+            with mock.patch.object(Graph, "edge_count", -1):
+                masked = _next_values(g, x, gathered, mask)
+            self.assertEqual(all_active[2], masked[2], msg=msg)
+            for got, want in zip(all_active[:2], masked[:2]):
                 self.assertEqual(got.dtype, want.dtype, msg=msg)
                 self.assertEqual(got.tobytes(), want.tobytes(), msg=msg)
 
     def test_all_active_step_skips_the_mask(self):
-        masks = []
-        def spy(g, x, mask):
-            masks.append(mask)
-            return _exchange(g, x, mask)
+        # all active: one sum, over the gathered amounts themselves, and g's own degrees
+        passes = []
+        def spy(g, x, gathered, mask):
+            passes.append((gathered, mask, _next_values(g, x, gathered, mask)))
+            return passes[-1][2]
 
         g, s = generate_graph("cycle", 5), GarbageState([0.0, 1.0, 2.0, 3.0, 9.0])
-        with mock.patch.object(dynamics, "_exchange", spy):
-            step(g, s, Threshold.infinite())  # every edge active
-            step(g, s, Threshold(5.0))  # (4, 5) and (1, 5) inactive
-        self.assertIsNone(masks[0])
-        self.assertEqual(masks[1].tolist(), [True, False, True, True, False])
+        g._degree_array  # cached before bincount is watched
+        sums = []
+        with mock.patch.object(dynamics, "_next_values", spy):
+            for eps in (Threshold.infinite(), Threshold(5.0)):  # every edge active; (4, 5) and (1, 5) inactive
+                with mock.patch.object(np, "bincount", wraps=np.bincount) as bincount:
+                    step(g, s, eps)
+                sums.append([c.kwargs["weights"] for c in bincount.call_args_list])
+        (gathered, _, (_, deg, _)), (_, mask, _) = passes
+        self.assertEqual(len(sums[0]), 1)
+        self.assertIs(sums[0][0], gathered)
+        self.assertIs(deg, g._degree_array)
+        self.assertEqual(mask.tolist(), [True, False, True, True, False])
+        self.assertEqual(len(sums[1]), 2)  # the masked amounts, then the active degrees
+        self.assertEqual(sums[1][0].tolist(), [0.0, 0.0, 1.0, 2.0, 0.0, 1.0, 0.0, 2.0, 3.0, 0.0])
 
     def test_tie_is_active(self):
         g = generate_graph("path", 3)
@@ -239,6 +261,34 @@ class TestKernelMatchesLoops(unittest.TestCase):
         self.assertEqual(got.tobytes(), ref_step(g, x, eps).tobytes())
         self.assertEqual(effective_edges(g, GarbageState(x), Threshold(eps)).edge_count, 1)
 
+
+class TestRunMatchesLoopAtScale(unittest.TestCase):
+    """Sums over dozens of neighbors, where a change of summation order shows in the bits."""
+
+    def assert_run_matches_loop(self, g, s0, eps, steps):
+        traj = run(g, s0, Threshold(eps), max_steps=steps)
+        self.assertEqual(traj.steps_run, steps)
+        want = s0.values
+        for state, diag in zip(traj.states, traj.diagnostics):
+            msg = f"t={state.time}"
+            self.assertEqual(state.values.tobytes(), want.tobytes(), msg=msg)
+            values = want.tolist()
+            self.assertEqual(repr(diag.z), repr(ref_lyapunov_z(g, values, eps)), msg=msg)
+            self.assertTrue(0 < diag.active_edges < g.edge_count, msg=msg)  # the masked pass
+            want = ref_step(g, values, eps)
+
+    def test_er_threshold_instance(self):
+        # the benchmark's er_threshold input: 1000 vertices, 5037 edges, ~85% of them active
+        g = generate_graph("erdos_renyi", 1000, 0.01, seed=derive_seed(0, 0))
+        self.assertEqual(g.edge_count, 5037)
+        self.assert_run_matches_loop(g, random_uniform_state(g.n, 0.0, 100.0, seed=derive_seed(0, 1)), 60.0, 20)
+
+    def test_complete_graph_with_ties(self):
+        rng = Xoshiro256StarStar(derive_seed(4044, 0))
+        x = [10.0 * rng.randrange(11) for _ in range(60)]  # on a grid of 10
+        g = generate_graph("complete", 60)
+        self.assertTrue(any(abs(x[u - 1] - x[v - 1]) == 20.0 for u, v in g.edge_list))
+        self.assert_run_matches_loop(g, GarbageState(x), 20.0, 20)
 
 
 class TestActiveSubgraphMatchesEagerBuild(unittest.TestCase):
