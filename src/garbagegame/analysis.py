@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import pairwise
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -20,13 +21,13 @@ from .dynamics import (
     Trajectory,
     _active,
     _energy_terms,
-    _next_values,
+    _orbit,
     _ordered_sum,
     as_threshold,
     effective_edges,
     step,
 )
-from .graph import Graph
+from .graph import Graph, _vertex_ids
 
 
 @dataclass(frozen=True)
@@ -87,26 +88,12 @@ def decrement_lower_bound(g: Graph, s: GarbageState, eps: "Threshold | float") -
 def _lyapunov_steps(
     g: Graph, s: GarbageState, threshold: Threshold
 ) -> Iterator[tuple[LyapunovRecord, GarbageState]]:
-    """lyapunov_record for s and for each later state of its orbit, each with the
-    validated next state, without end.
-
-    One kernel pass per state: a state's edge differences, active mask, capped
-    squares and energy are computed once, when it is the next state, and carried
-    over into the following step.  Each next state is validated before its
-    predecessor's terms are computed.
-    """
-    d, mask, gathered = _active(g, s, threshold.epsilon)
-    x_next, deg, m = _next_values(g, s.values, gathered, mask)
-    nxt = GarbageState(x_next, time=s.time + 1)
-    sq, z = _energy_terms(g, d, threshold)
-    while True:
-        d, mask, gathered = _active(g, nxt, threshold.epsilon)
-        sq_next, z_next = _energy_terms(g, d, threshold)
+    """lyapunov_record for s and each later state, with the validated next state, without
+    end: read off consecutive pairs of dynamics._orbit, the walk run reads too, so k records
+    take one kernel pass for each of the k + 1 states they read."""
+    for (cur, sq, z, deg, m, _), (nxt, sq_next, *_) in pairwise(_orbit(g, s, threshold)):
         decrement = 2.0 * _ordered_sum(sq - sq_next)
-        yield LyapunovRecord(z, decrement, _decrement_bound(m, deg, s.values, nxt.values)), nxt
-        s, sq, z = nxt, sq_next, z_next
-        x_next, deg, m = _next_values(g, s.values, gathered, mask)
-        nxt = GarbageState(x_next, time=s.time + 1)
+        yield LyapunovRecord(z, decrement, _decrement_bound(m, deg, cur.values, nxt.values)), nxt
 
 
 def lyapunov_record(g: Graph, s: GarbageState, eps: "Threshold | float") -> LyapunovRecord:
@@ -125,12 +112,7 @@ def is_trivial(s: GarbageState, vertices: Iterable[int], delta: float) -> bool:
     delta = float(delta)
     if math.isnan(delta) or delta <= 0.0:
         raise ValueError(f"delta must be positive, got {delta!r}")
-    ids = sorted(set(vertices))
-    if not ids:
-        raise ValueError("vertex set must be nonempty")
-    if ids[0] < 1 or ids[-1] > s.n:
-        raise ValueError(f"vertex ids must lie in 1..{s.n}")
-    vals = s.values[[v - 1 for v in ids]]
+    vals = s.values[[v - 1 for v in _vertex_ids(vertices, s.n)]]
     return float(vals.max() - vals.min()) <= delta
 
 

@@ -43,6 +43,7 @@ from .rng import Xoshiro256StarStar, derive_seed
 from .spectral import ISOPERIMETRIC_MAX_ORDER, cheeger_check, nontrivial_displacement_bound
 
 _GENERAL_MAX_ORDER = 200  # dense eigen/step work stays desk-scale
+_FLOAT_FORMAT = "%.17g"  # every number in emitted files: format_float and the CSV rows
 
 
 class CliError(Exception):
@@ -55,7 +56,7 @@ class CliError(Exception):
 
 def format_float(x: float) -> str:
     """17 significant digits; round-trip exact for float64."""
-    return format(x, ".17g")
+    return _FLOAT_FORMAT % x
 
 
 def to_json(value: Any) -> str:
@@ -87,6 +88,7 @@ def _csv_pieces(traj: Trajectory) -> Iterator[str]:
     is reused and its t is row j's time plus i - j, so no tail state is made."""
     n = traj.graph.n
     yield "t," + ",".join(f"x_{i}" for i in range(1, n + 1)) + ",z,active_edges,max_diff\n"
+    row_format = ",".join([_FLOAT_FORMAT] * (n + 1)) + f",%d,{_FLOAT_FORMAT}\n"  # x_1..x_n, z, |E_t|, spread
     tail = traj.periodic_tail
     period_rows = {}  # the time and text after t of the stored rows the tail repeats, by stored index
     for i in range(len(traj.states)):
@@ -94,8 +96,7 @@ def _csv_pieces(traj: Trajectory) -> Iterator[str]:
         row = period_rows.get(j)
         if row is None:
             state, diag = traj.states[j], traj.diagnostics[j]
-            xs = ",".join(format_float(v) for v in state.values.tolist())
-            row = state.time, f"{xs},{format_float(diag.z)},{diag.active_edges},{format_float(diag.max_diff)}\n"
+            row = state.time, row_format % (*state.values.tolist(), diag.z, diag.active_edges, diag.max_diff)
             if tail and j >= tail[0]:
                 period_rows[j] = row
         yield f"{row[0] + i - j},"

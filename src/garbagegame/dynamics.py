@@ -213,15 +213,11 @@ class Trajectory:
         return np.stack([s.values for s in self.states])
 
 
-def _check_compatible(g: Graph, s: GarbageState) -> None:
-    if s.n != g.n:
-        raise ValueError(f"state has {s.n} entries but graph has {g.n} vertices")
-
-
 def _active(g: Graph, s: GarbageState, threshold: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Edge differences d = x[eu] - x[ev] in edge order, the active mask |d| <= threshold,
     and the tail amounts x[tails] of g's orientations, which _next_values sums."""
-    _check_compatible(g, s)
+    if s.n != g.n:
+        raise ValueError(f"state has {s.n} entries but graph has {g.n} vertices")
     gathered, m = s.values[g._orientations[0]], g.edge_count
     d = gathered[:m] - gathered[m:]
     return d, np.abs(d) <= threshold, gathered
@@ -311,6 +307,16 @@ def step(g: Graph, s: GarbageState, eps: "Threshold | float") -> GarbageState:
     return GarbageState(_next_values(g, s.values, gathered, mask)[0], time=s.time + 1)
 
 
+def _orbit(g: Graph, s: GarbageState, threshold: Threshold) -> Iterator[tuple]:
+    """s and its later states, without end, each as one kernel pass gives it: (state, capped
+    squares, Z, active degrees, |E_t|, next values); those are validated when the walk resumes."""
+    while True:
+        d, mask, gathered = _active(g, s, threshold.epsilon)
+        x_next, deg, m = _next_values(g, s.values, gathered, mask)
+        yield (s, *_energy_terms(g, d, threshold), deg, m, x_next)
+        s = GarbageState(x_next, time=s.time + 1)
+
+
 def run(
     g: Graph,
     s0: GarbageState,
@@ -320,7 +326,8 @@ def run(
 ) -> Trajectory:
     """Iterate the step up to max_steps, recording diagnostics each step.
 
-    Each state is advanced once: the kernel pass that computes its successor
+    The states are read from _orbit, the one walk that the Lyapunov
+    certificate reads too: the kernel pass that computes a state's successor
     also gives its energy Z and active edge count |E_t|.  The successor of
     the last state is computed but never validated or kept.
 
@@ -329,7 +336,7 @@ def run(
     proper subgraph is never reported as converged.  Every state is tested,
     the last of a max_steps run too; the final verdict is Trajectory.converged.
 
-    Once a new state has the bits of the state 1 or 2 steps back (-0.0 and
+    Once a successor has the bits of the state 1 or 2 steps back (-0.0 and
     +0.0 differ), the rest of the run is that periodic orbit: its states
     already failed the stop test, so the remaining steps up to max_steps are
     not stepped (converged stays False).  The trajectory records where the
@@ -339,26 +346,21 @@ def run(
     period's diagnostics object itself.
     """
     threshold = as_threshold(eps)
-    _check_compatible(g, s0)
     if not isinstance(max_steps, int) or isinstance(max_steps, bool) or max_steps < 0:
         raise ValueError(f"max_steps must be a nonnegative integer, got {max_steps!r}")
     if not (convergence_tol > 0.0):
         raise ValueError(f"convergence_tol must be positive, got {convergence_tol!r}")
-    states, diags = [s0], []
-    while True:
-        cur = states[-1]
-        d, mask, gathered = _active(g, cur, threshold.epsilon)
-        x_next, _, m = _next_values(g, cur.values, gathered, mask)
-        diags.append(StepDiagnostics(_energy_terms(g, d, threshold)[1], m, cur.max_pairwise_diff()))
+    states, diags = [], []
+    for s, _, z, _, m, x_next in _orbit(g, s0, threshold):
+        states.append(s)
+        diags.append(StepDiagnostics(z, m, s.max_pairwise_diff()))
         converged = diags[-1].max_diff <= convergence_tol and m == g.edge_count
         if converged or len(states) > max_steps:
             break
-        nxt = GarbageState(x_next, time=cur.time + 1)
-        bits = nxt.values.tobytes()
+        bits = x_next.tobytes()  # equal bits are those of a state already validated
         period = next((p for p in (1, 2) if p <= len(states) and states[-p].values.tobytes() == bits), 0)
         if period:
             states = PeriodicList(states, period, max_steps + 1, GarbageState._retimed)
             diags = PeriodicList(diags, period, max_steps + 1)
             break
-        states.append(nxt)
     return Trajectory(graph=g, threshold=threshold, states=states, diagnostics=diags, converged=converged)

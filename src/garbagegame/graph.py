@@ -28,6 +28,21 @@ class GraphError(ValueError):
     """Invalid graph structure or unparsable edge-list input."""
 
 
+def _vertex_ids(vertices: Iterable[int], n: int) -> list[int]:
+    """The given vertex ids as ints, in order: at least one, each an integer (a numpy
+    integer too, but not a bool) in 1..n.  GraphError names the first that is not."""
+    ids = []
+    for v in vertices:
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            raise GraphError(f"vertex {v!r} is not an integer")
+        if not 1 <= v <= n:
+            raise GraphError(f"vertex {v} outside 1..{n}")
+        ids.append(int(v))
+    if not ids:
+        raise GraphError("vertex set must be nonempty")
+    return ids
+
+
 class Graph:
     """Immutable undirected simple graph on vertices 1..n, equal by class and edge set.
 
@@ -94,14 +109,12 @@ class Graph:
         return int(self._ends[0].size)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        if not (1 <= v <= self.n):
-            raise GraphError(f"vertex {v} outside 1..{self.n}")
+        (v,) = _vertex_ids((v,), self.n)
         tails, heads = self._orientations
         return tuple((tails[heads == v - 1] + 1).tolist())  # ascending: the summation order
 
     def degree(self, v: int) -> int:
-        if not (1 <= v <= self.n):
-            raise GraphError(f"vertex {v} outside 1..{self.n}")
+        (v,) = _vertex_ids((v,), self.n)
         return int(self._degree_array[v - 1])
 
     @cached_property

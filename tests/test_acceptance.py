@@ -9,9 +9,6 @@ orders of magnitude below the tightest stated tolerance.
 
 import json
 import math
-import os
-import subprocess
-import sys
 import tempfile
 import time
 import unittest
@@ -43,8 +40,9 @@ from garbagegame.graph import (
 )
 from garbagegame.rng import Xoshiro256StarStar, derive_seed
 
+from fresh_python import run_python
+
 SEED = 20260814
-SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 _criterion1_cache = None
 
@@ -302,19 +300,16 @@ class TestAcceptance(unittest.TestCase):
               "tests/test_stars.py); star-6 center weight 0")
 
     def test_criterion_9_byte_identical_outputs(self):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
         with tempfile.TemporaryDirectory() as tmp:
             outputs = []
             for tag in ("a", "b"):
                 csv = Path(tmp, f"{tag}.csv")
                 summ = Path(tmp, f"{tag}.json")
-                proc = subprocess.run(
-                    [sys.executable, "-m", "garbagegame", "simulate",
-                     "--generate", "erdos_renyi:9:0.4", "--init-random",
-                     "uniform:0:10", "--epsilon", "inf", "--seed", "31415",
-                     "--out", str(csv), "--summary", str(summ)],
-                    env=env, capture_output=True, check=True)
+                proc = run_python(
+                    "-m", "garbagegame", "simulate",
+                    "--generate", "erdos_renyi:9:0.4", "--init-random",
+                    "uniform:0:10", "--epsilon", "inf", "--seed", "31415",
+                    "--out", str(csv), "--summary", str(summ), text=False, check=True)
                 outputs.append((proc.stdout, csv.read_bytes(), summ.read_bytes()))
             self.assertEqual(outputs[0], outputs[1])
             self.assertGreater(len(outputs[0][1]), 0)

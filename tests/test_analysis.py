@@ -3,6 +3,8 @@ import unittest
 import warnings
 from unittest import mock
 
+import numpy as np
+
 from garbagegame import analysis, dynamics
 
 from garbagegame.analysis import (
@@ -199,6 +201,13 @@ class TestIsTrivial(unittest.TestCase):
         with self.assertRaises(ValueError):
             is_trivial(s, [1], math.nan)
 
+    def test_vertex_ids_must_be_integers(self):
+        s = GarbageState([1.0, 2.0])
+        for bad in (1.5, 2.0):
+            with self.assertRaisesRegex(ValueError, f"^vertex {bad!r} is not an integer$"):
+                is_trivial(s, [1, bad], 1.0)
+        self.assertTrue(is_trivial(s, [np.int64(1), np.int32(2)], 1.0))
+
 
 class TestHullBounds(unittest.TestCase):
 
@@ -307,7 +316,7 @@ class TestConvergenceReport(unittest.TestCase):
         locked = run(P3, GarbageState([0.0, 1.0, 5.0]), Threshold(2.0), max_steps=50)
         converging = run(C4, GarbageState([0.0, 1.0, 2.0, 3.0]), Threshold.infinite())
         with mock.patch.object(analysis, "effective_edges", no_pass), \
-                mock.patch.object(analysis, "_active", no_pass), mock.patch.object(analysis, "_next_values", no_pass), \
+                mock.patch.object(analysis, "_active", no_pass), mock.patch.object(analysis, "_orbit", no_pass), \
                 mock.patch.object(dynamics, "_active", no_pass):
             self.assertFalse(convergence_report(locked).converged)
             self.assertTrue(convergence_report(converging).converged)

@@ -5,19 +5,16 @@ import io
 import json
 import os
 import re
-import subprocess
-import sys
 import tempfile
 import unittest
 import warnings
 from unittest import mock
-from pathlib import Path
 
 from garbagegame.cli import CliError, main, run_verify, to_json, trajectory_csv, validate_trajectory
 from garbagegame.dynamics import GarbageState, Threshold, run
 from garbagegame.graph import generate_graph, render_edge_list
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+from fresh_python import run_python
 
 
 def run_cli(argv):
@@ -33,10 +30,16 @@ def run_cli(argv):
 
 def run_fresh(argv):
     """Invoke the package in a fresh interpreter, where a numpy warning would reach stderr."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "garbagegame", *argv],
-                          env=env, capture_output=True, text=True, timeout=120)
+    return run_python("-m", "garbagegame", *argv)
+
+
+class TestFreshInterpreter(unittest.TestCase):
+
+    def test_a_numpy_warning_fails_the_child(self):
+        # the child errors on the warnings pytest's filterwarnings makes errors in-process
+        proc = run_python("-c", "import numpy as np; np.float64(1e308) * 10")
+        self.assertNotEqual(proc.returncode, 0)
+        self.assertIn("RuntimeWarning: overflow", proc.stderr)
 
 
 class TestSimulate(unittest.TestCase):

@@ -1,12 +1,11 @@
 """Each narrative script in demos/ runs to completion; several assert the
 guarantees they print (e.g. decrement >= bound in lyapunov_descent.py)."""
 
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
+
+from fresh_python import run_python
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -14,8 +13,5 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[path.name for path in DEMOS])
 def test_demo_exits_cleanly(demo):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True, text=True,
-                          timeout=120)
+    proc = run_python(str(demo))
     assert proc.returncode == 0, proc.stderr

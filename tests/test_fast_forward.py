@@ -16,10 +16,11 @@ import os
 import tempfile
 import tracemalloc
 import unittest
+from itertools import islice
 from unittest import mock
 
 from garbagegame import cli, dynamics
-from garbagegame.analysis import convergence_report, lyapunov_z
+from garbagegame.analysis import _lyapunov_steps, convergence_report, lyapunov_z
 from garbagegame.cli import trajectory_csv, validate_trajectory
 from garbagegame.dynamics import GarbageState, StepDiagnostics, Threshold, Trajectory, effective_edges, run, step
 from garbagegame.graph import Graph, generate_graph, random_connected_graph, render_edge_list
@@ -282,6 +283,20 @@ class TestStepCalls(unittest.TestCase):
         self.assertIs(traj.states[40].values, traj.states[2].values)
         self.assertIs(traj.diagnostics[41], traj.diagnostics[1])
         self.assertFalse(traj.states[40].values.flags.writeable)
+
+
+class TestCertificatePasses(unittest.TestCase):
+
+    def test_one_kernel_pass_per_state_read(self):
+        # k records read s and k next states, each from one pass of the orbit run walks
+        g, s = generate_graph("cycle", 6), GarbageState([0.0, 2.0, 4.0, 6.0, 8.0, 10.0])
+        for threshold in (Threshold(3.0), Threshold.infinite()):  # masked and all-active passes
+            for k in (1, 2, 26):
+                passes = []
+                with mock.patch.object(dynamics, "_next_values", counting_passes(passes, dynamics._next_values)):
+                    read = [s, *(nxt for _, nxt in islice(_lyapunov_steps(g, s, threshold), k))]
+                self.assertEqual(len(passes), k + 1)
+                self.assertTrue(all(x is state.values for x, state in zip(passes, read)))
 
 
 class TestCompressedTrajectory(unittest.TestCase):

@@ -96,6 +96,17 @@ class TestGraphType(unittest.TestCase):
         self.assertEqual(g.neighbors(4), (2,))
         self.assertEqual(g.max_degree, 3)
 
+    def test_vertex_ids_must_be_integers(self):
+        # a float id was truncated, silently missed or sent to numpy indexing
+        g = Graph(4, frozenset({(1, 2), (2, 3), (2, 4)}))
+        for query in (g.neighbors, g.degree):
+            for v in (1.5, 2.0, np.float64(2.0), True, "2", None):
+                with self.assertRaises(GraphError) as ctx:
+                    query(v)
+                self.assertEqual(str(ctx.exception), f"vertex {v!r} is not an integer")
+            for v in (np.int64(2), np.uint8(2), np.intp(2)):  # numpy integer ids keep working
+                self.assertEqual(query(v), query(2))
+
     def test_edge_list_is_lexicographic(self):
         g = Graph(5, frozenset({(4, 5), (1, 3), (1, 2), (2, 5)}))
         self.assertEqual(g.edge_list, ((1, 2), (1, 3), (2, 5), (4, 5)))

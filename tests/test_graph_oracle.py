@@ -10,19 +10,15 @@ original draw order.  The builders must give the same edge sets and leave
 the generator at the same point of its stream.
 """
 
-import os
-import subprocess
-import sys
 import tracemalloc
 import unittest
-from pathlib import Path
 
 import numpy as np
 
 from garbagegame.graph import Graph, GraphError, generate_graph, random_connected_graph
 from garbagegame.rng import Xoshiro256StarStar, derive_seed
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+from fresh_python import run_python
 
 
 def ref_canonical_edges(n, edges):
@@ -239,11 +235,9 @@ class TestGraphMatchesTupleBuild(unittest.TestCase):
 
     def test_generation_leaves_numpy_ma_unimported(self):
         # np.unique imports numpy.ma, which costs about a megabyte of resident memory
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
         code = ("import sys; from garbagegame.graph import generate_graph; "
                 "generate_graph('erdos_renyi', 50, p=0.3); print('numpy.ma' in sys.modules)")
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        proc = run_python("-c", code)
         self.assertEqual(proc.returncode, 0, proc.stderr)
         self.assertEqual(proc.stdout.strip(), "False")
 

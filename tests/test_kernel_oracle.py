@@ -189,9 +189,9 @@ class TestKernelMatchesLoops(unittest.TestCase):
                 self.assertEqual(effective_edges(g, state, Threshold(eps)).edge_count, active, msg=msg)
 
     def test_carried_orbit_matches_chained_records_and_loops(self):
-        # the orbit carries each next state's differences, mask and squares into
-        # the following step; a fresh one-step record from that state, and the
-        # loops, must give the same bits
+        # the certificate reads each state's differences, mask and squares off the
+        # one pass of the orbit walk that also steps it; a fresh one-step record
+        # from that state, and the loops, must give the same bits
         seen = set()
         for k, (g, x, eps) in enumerate(instances(derive_seed(4042, 0), 120)):
             msg = f"instance {k}: n={g.n} edges={g.edge_count} eps={eps!r}"

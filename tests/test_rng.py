@@ -1,16 +1,12 @@
 import math
-import os
-import subprocess
-import sys
 import unittest
-from pathlib import Path
 
 import numpy as np
 
 from garbagegame import rng as rng_module
 from garbagegame.rng import SplitMix64, Xoshiro256StarStar, derive_seed
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+from fresh_python import run_python
 
 
 class TestSplitMix64(unittest.TestCase):
@@ -165,10 +161,7 @@ class TestBelow(unittest.TestCase):
             ladder[1][0, 0, 0] = 0
 
     def run_fresh(self, code, *args):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
-                              capture_output=True, text=True, timeout=120)
+        proc = run_python("-c", code, *map(str, args))
         self.assertEqual(proc.returncode, 0, proc.stderr)
         return proc.stdout.split("\n")
 

@@ -225,6 +225,15 @@ class TestDisplacementBound(unittest.TestCase):
                 g, s, Threshold.infinite(), range(1, n + 1), spread / 2.0)
             self.assertTrue(res.ok, msg=f"seed index {k}: {res}")
 
+    def test_vertex_ids_must_be_integers(self):
+        # int(2.9) named vertex 2, so [2.9, 1] passed as the component {1, 2}
+        g, s = generate_graph("path", 3), GarbageState([0.0, 1.0, 5.0])
+        for bad in (2.9, 2.0):
+            with self.assertRaisesRegex(ValueError, f"^vertex {bad!r} is not an integer$"):
+                nontrivial_displacement_bound(g, s, 2.0, [bad, 1], 0.5)
+        got = nontrivial_displacement_bound(g, s, 2.0, [np.int64(2), np.int64(1)], 0.5)
+        self.assertEqual(got, nontrivial_displacement_bound(g, s, 2.0, [2, 1], 0.5))
+
     def test_not_a_component_rejected(self):
         with self.assertRaises(ValueError):
             nontrivial_displacement_bound(
