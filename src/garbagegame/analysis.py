@@ -19,8 +19,6 @@ from .dynamics import (
     GarbageState,
     Threshold,
     Trajectory,
-    _active,
-    _energy_terms,
     _orbit,
     _ordered_sum,
     as_threshold,
@@ -59,9 +57,7 @@ def lyapunov_z(g: Graph, s: GarbageState, eps: "Threshold | float") -> float:
     reduced form, plain squared differences over social-edge pairs only
     (the capped form would be infinite; the dropped terms are constant).
     """
-    threshold = as_threshold(eps)
-    d, _, _ = _active(g, s, threshold.epsilon)
-    return _energy_terms(g, d, threshold)[1]
+    return next(_orbit(g, s, as_threshold(eps)))[2]
 
 
 def _decrement_bound(edge_count: int, deg: np.ndarray, x: np.ndarray, x_next: np.ndarray) -> float:
@@ -78,7 +74,7 @@ def _decrement_bound(edge_count: int, deg: np.ndarray, x: np.ndarray, x_next: np
 def decrement_lower_bound(g: Graph, s: GarbageState, eps: "Threshold | float") -> float:
     """Certified lower bound on the one-step energy decrease:
     4 * sum_i (|E_t| - |N_i|) * (x_i - x_i')^2.  Zero when no edge is active.
-    _lyapunov_steps gets the same bits from its one kernel pass per state; this path
+    lyapunov_record(...).bound has the same bits from one kernel pass; this two-pass path
     stays while perfbench's test_tracer_restores_the_package pins its spans (ROADMAP.md item 2)."""
     threshold = as_threshold(eps)
     topo = effective_edges(g, s, threshold)
@@ -90,14 +86,14 @@ def _lyapunov_steps(
 ) -> Iterator[tuple[LyapunovRecord, GarbageState]]:
     """lyapunov_record for s and each later state, with the validated next state, without
     end: read off consecutive pairs of dynamics._orbit, the walk run reads too, so k records
-    take one kernel pass for each of the k + 1 states they read."""
-    for (cur, sq, z, deg, m, _), (nxt, sq_next, *_) in pairwise(_orbit(g, s, threshold)):
+    take k kernel passes, one for each step they measure."""
+    for (cur, sq, z, m, _), (nxt, sq_next, _, _, deg) in pairwise(_orbit(g, s, threshold)):
         decrement = 2.0 * _ordered_sum(sq - sq_next)
         yield LyapunovRecord(z, decrement, _decrement_bound(m, deg, cur.values, nxt.values)), nxt
 
 
 def lyapunov_record(g: Graph, s: GarbageState, eps: "Threshold | float") -> LyapunovRecord:
-    """Energy, measured decrease, and bound for one step from s.
+    """Energy, measured decrease, and bound for one step from s, from one kernel pass.
 
     The decrease is summed edge by edge, not taken as Z - Z': both energies
     carry the non-edge constant (n(n-1) - 2|E|) eps^2, whose float64 rounding

@@ -213,14 +213,15 @@ class Trajectory:
         return np.stack([s.values for s in self.states])
 
 
-def _active(g: Graph, s: GarbageState, threshold: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Edge differences d = x[eu] - x[ev] in edge order, the active mask |d| <= threshold,
-    and the tail amounts x[tails] of g's orientations, which _next_values sums."""
+def _active(g: Graph, s: GarbageState, threshold: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Edge differences d = x[eu] - x[ev] in edge order, the active mask |d| <= threshold, the
+    tail amounts x[tails] of g's orientations, which _next_values sums, and |E_t| = mask count."""
     if s.n != g.n:
         raise ValueError(f"state has {s.n} entries but graph has {g.n} vertices")
     gathered, m = s.values[g._orientations[0]], g.edge_count
     d = gathered[:m] - gathered[m:]
-    return d, np.abs(d) <= threshold, gathered
+    mask = np.abs(d) <= threshold
+    return d, mask, gathered, int(np.count_nonzero(mask))
 
 
 def _ordered_sum(terms: np.ndarray) -> float:
@@ -250,7 +251,7 @@ def _energy_terms(g: Graph, d: np.ndarray, threshold: Threshold) -> tuple[np.nda
 def effective_edges(g: Graph, s: GarbageState, eps: "Threshold | float") -> Graph:
     """The active subgraph on g's vertices: the social edges whose endpoint
     amounts differ by at most the threshold (inclusive comparison)."""
-    _, mask, _ = _active(g, s, as_threshold(eps).epsilon)
+    _, mask, *_ = _active(g, s, as_threshold(eps).epsilon)
     return Graph(g.n, np.column_stack(g._ends)[mask] + 1)
 
 
@@ -261,8 +262,7 @@ def transition_matrix(g: Graph, s: GarbageState, eps: "Threshold | float") -> np
     remainder 1 - |N_i|/|E_t|.  With no active edges the matrix is the
     identity.
     """
-    _, mask, _ = _active(g, s, as_threshold(eps).epsilon)
-    m = int(np.count_nonzero(mask))
+    _, mask, _, m = _active(g, s, as_threshold(eps).epsilon)
     if m == 0:
         return np.eye(g.n)
     eu, ev = (ends[mask] for ends in g._ends)
@@ -273,18 +273,17 @@ def transition_matrix(g: Graph, s: GarbageState, eps: "Threshold | float") -> np
 
 
 def _next_values(
-    g: Graph, x: np.ndarray, gathered: np.ndarray, mask: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """The unvalidated next values from the amounts x, their tail amounts gathered
-    (see _active) and the active mask, with the active degrees |N_i| and the active
-    edge count |E_t|.  Receipts are summed over g's orientations in stored order
+    g: Graph, x: np.ndarray, gathered: np.ndarray, mask: np.ndarray, m: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The unvalidated next values from the amounts x, their tail amounts gathered,
+    the active mask and its count m = |E_t| (see _active), with the active degrees
+    |N_i|.  Receipts are summed over g's orientations in stored order
     (bincount adds in input order), so in ascending neighbor id; an inactive one adds
     ±0.0, which changes no partial sum, as every bin starts at +0.0 and the amounts
     are finite and nonnegative.  With every edge active no mask is applied and the
     degrees are g's own."""
-    m = int(np.count_nonzero(mask))
     if m == 0:
-        return x, np.zeros(g.n, dtype=np.intp), 0
+        return x, np.zeros(g.n, dtype=np.intp)
     heads = g._orientations[1]
     if m == g.edge_count:
         recv, deg = np.bincount(heads, weights=gathered, minlength=g.n), g._degree_array
@@ -292,7 +291,7 @@ def _next_values(
         on = np.concatenate((mask, mask), dtype=np.float64)  # cast once for both sums
         recv = np.bincount(heads, weights=gathered * on, minlength=g.n)
         deg = np.bincount(heads, weights=on, minlength=g.n)
-    return recv / m + (1.0 - deg / m) * x, deg.astype(np.intp, copy=False), m
+    return recv / m + (1.0 - deg / m) * x, deg.astype(np.intp, copy=False)
 
 
 def step(g: Graph, s: GarbageState, eps: "Threshold | float") -> GarbageState:
@@ -303,17 +302,19 @@ def step(g: Graph, s: GarbageState, eps: "Threshold | float") -> GarbageState:
     accumulate in ascending neighbor id so results are reproducible.
     Runs in O(n + |E|): the threshold is tested on every social edge.
     """
-    _, mask, gathered = _active(g, s, as_threshold(eps).epsilon)
-    return GarbageState(_next_values(g, s.values, gathered, mask)[0], time=s.time + 1)
+    _, mask, gathered, m = _active(g, s, as_threshold(eps).epsilon)
+    return GarbageState(_next_values(g, s.values, gathered, mask, m)[0], time=s.time + 1)
 
 
 def _orbit(g: Graph, s: GarbageState, threshold: Threshold) -> Iterator[tuple]:
-    """s and its later states, without end, each as one kernel pass gives it: (state, capped
-    squares, Z, active degrees, |E_t|, next values); those are validated when the walk resumes."""
+    """s and its later states, without end, each validated, as (state, capped squares, Z,
+    |E_t|, active degrees of the step into it; None for s).  A state's successor is made,
+    by the one kernel pass, only when the walk resumes, so k states cost k - 1 passes."""
+    deg = None
     while True:
-        d, mask, gathered = _active(g, s, threshold.epsilon)
-        x_next, deg, m = _next_values(g, s.values, gathered, mask)
-        yield (s, *_energy_terms(g, d, threshold), deg, m, x_next)
+        d, mask, gathered, m = _active(g, s, threshold.epsilon)
+        yield (s, *_energy_terms(g, d, threshold), m, deg)
+        x_next, deg = _next_values(g, s.values, gathered, mask, m)
         s = GarbageState(x_next, time=s.time + 1)
 
 
@@ -327,16 +328,15 @@ def run(
     """Iterate the step up to max_steps, recording diagnostics each step.
 
     The states are read from _orbit, the one walk that the Lyapunov
-    certificate reads too: the kernel pass that computes a state's successor
-    also gives its energy Z and active edge count |E_t|.  The successor of
-    the last state is computed but never validated or kept.
+    certificate reads too: each comes validated, with its energy Z and active
+    edge count |E_t|, and its successor is computed only if the run goes on.
 
     Stops early once the amounts agree within convergence_tol AND every
     social edge is active (the post-threshold regime); oscillation on a
     proper subgraph is never reported as converged.  Every state is tested,
     the last of a max_steps run too; the final verdict is Trajectory.converged.
 
-    Once a successor has the bits of the state 1 or 2 steps back (-0.0 and
+    Once a state has the bits of the state 1 or 2 steps back (-0.0 and
     +0.0 differ), the rest of the run is that periodic orbit: its states
     already failed the stop test, so the remaining steps up to max_steps are
     not stepped (converged stays False).  The trajectory records where the
@@ -351,16 +351,16 @@ def run(
     if not (convergence_tol > 0.0):
         raise ValueError(f"convergence_tol must be positive, got {convergence_tol!r}")
     states, diags = [], []
-    for s, _, z, _, m, x_next in _orbit(g, s0, threshold):
-        states.append(s)
-        diags.append(StepDiagnostics(z, m, s.max_pairwise_diff()))
-        converged = diags[-1].max_diff <= convergence_tol and m == g.edge_count
-        if converged or len(states) > max_steps:
-            break
-        bits = x_next.tobytes()  # equal bits are those of a state already validated
+    for s, _, z, m, _ in _orbit(g, s0, threshold):
+        bits = s.values.tobytes()
         period = next((p for p in (1, 2) if p <= len(states) and states[-p].values.tobytes() == bits), 0)
         if period:
             states = PeriodicList(states, period, max_steps + 1, GarbageState._retimed)
             diags = PeriodicList(diags, period, max_steps + 1)
+            break
+        states.append(s)
+        diags.append(StepDiagnostics(z, m, s.max_pairwise_diff()))
+        converged = diags[-1].max_diff <= convergence_tol and m == g.edge_count
+        if converged or len(states) > max_steps:
             break
     return Trajectory(graph=g, threshold=threshold, states=states, diagnostics=diags, converged=converged)

@@ -57,11 +57,14 @@ class Graph:
         if n > MAX_ORDER:
             raise GraphError(f"vertex count {n} exceeds {MAX_ORDER}, the largest whose edge keys fit in int64")
         try:  # an empty iterable is 0 x 2
-            pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges) or np.empty((0, 2), int))
+            pairs = np.asarray(rows := edges if isinstance(edges, np.ndarray) else list(edges) or np.empty((0, 2), int))
         except ValueError:  # rows of unequal length
             raise GraphError("edges must be integer vertex pairs, got rows of unequal length") from None
         if pairs.ndim != 2 or pairs.shape[1] != 2 or not np.issubdtype(pairs.dtype, np.integer):
             raise GraphError(f"edges must be integer vertex pairs, got shape {pairs.shape}, dtype {pairs.dtype}")
+        # np.asarray reads a bool as 1 or 0, so an integer array of pairs may hide one
+        if not isinstance(edges, np.ndarray) and (flagged := [r for r in rows if {bool, np.bool_} & set(map(type, r))]):
+            raise GraphError(f"edge {flagged[0]!r} has a bool endpoint; endpoints must be integers")
         lo, hi = np.minimum(*pairs.T), np.maximum(*pairs.T)
         if (bad := (lo == hi) | (lo < 1) | (hi > n)).any():
             a, b = pairs[np.argmax(bad)].tolist()  # the first bad pair in input order

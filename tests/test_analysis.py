@@ -315,8 +315,7 @@ class TestConvergenceReport(unittest.TestCase):
 
         locked = run(P3, GarbageState([0.0, 1.0, 5.0]), Threshold(2.0), max_steps=50)
         converging = run(C4, GarbageState([0.0, 1.0, 2.0, 3.0]), Threshold.infinite())
-        with mock.patch.object(analysis, "effective_edges", no_pass), \
-                mock.patch.object(analysis, "_active", no_pass), mock.patch.object(analysis, "_orbit", no_pass), \
+        with mock.patch.object(analysis, "effective_edges", no_pass), mock.patch.object(analysis, "_orbit", no_pass), \
                 mock.patch.object(dynamics, "_active", no_pass):
             self.assertFalse(convergence_report(locked).converged)
             self.assertTrue(convergence_report(converging).converged)

@@ -334,8 +334,8 @@ class TestRun(unittest.TestCase):
         np.testing.assert_array_equal(traj.initial_state.values, s.values)
 
     def test_unused_overflowing_successor_is_not_validated(self):
-        # the pass that diagnoses the only state also computes its successor,
-        # which overflows; with max_steps=0 nothing may see it
+        # the only state's successor would overflow; with max_steps=0 it is
+        # never computed, so nothing may see it
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             traj = run(P3, GarbageState([1e308, 0.0, 1e308]), Threshold.infinite(), max_steps=0)

@@ -2,11 +2,13 @@
 
 The oracle is the plain loop run used before the fast-forward: one step and
 one diagnosis per state until the stop test or max_steps.  It builds the
-diagnostics from public functions only, so it shares no code path with run's
-fused kernel pass.  A run must agree with it in every state's bytes, every
-time index and every diagnostic's repr, so the CSV and summary bytes cannot
-move.  run records a periodic tail instead of storing it; its trajectory must
-read like the oracle's plain lists through every sequence operation.
+diagnostics from public functions only, so it shares neither its loop nor its
+repeat test with run (its Z, from lyapunov_z, is the walk's first item, which
+test_kernel_oracle holds to a pure-Python loop).  A run must agree with it in
+every state's bytes, every time index and every diagnostic's repr, so the CSV
+and summary bytes cannot move.  run records a periodic tail instead of storing
+it; its trajectory must read like the oracle's plain lists through every
+sequence operation.
 """
 
 import contextlib
@@ -16,11 +18,12 @@ import os
 import tempfile
 import tracemalloc
 import unittest
+import warnings
 from itertools import islice
 from unittest import mock
 
 from garbagegame import cli, dynamics
-from garbagegame.analysis import _lyapunov_steps, convergence_report, lyapunov_z
+from garbagegame.analysis import _lyapunov_steps, convergence_report, lyapunov_record, lyapunov_z
 from garbagegame.cli import trajectory_csv, validate_trajectory
 from garbagegame.dynamics import GarbageState, StepDiagnostics, Threshold, Trajectory, effective_edges, run, step
 from garbagegame.graph import Graph, generate_graph, random_connected_graph, render_edge_list
@@ -121,10 +124,10 @@ def counting(calls, real):
 
 
 def counting_passes(passes, real):
-    """Wraps the kernel's _next_values(g, x, gathered, mask): records each pass's amounts array."""
-    def counted(g, x, gathered, mask):
+    """Wraps the kernel's _next_values(g, x, gathered, mask, m): records each pass's amounts array."""
+    def counted(g, x, gathered, mask, m):
         passes.append(x)
-        return real(g, x, gathered, mask)
+        return real(g, x, gathered, mask, m)
 
     return counted
 
@@ -256,7 +259,17 @@ class TestStepCalls(unittest.TestCase):
         passes = []
         with mock.patch.object(dynamics, "_next_values", counting_passes(passes, dynamics._next_values)):
             traj = run(generate_graph("cycle", 6), GarbageState([0.0, 2.0, 4.0, 6.0, 8.0, 10.0]), Threshold(8.0))
-        self.assertEqual(pass_times(passes, traj), [s.time for s in traj.states])  # the last state's pass included
+        self.assertEqual(pass_times(passes, traj), [s.time for s in traj.states[:-1]])  # none for the last state
+
+    def test_no_pass_without_a_step(self):
+        # the only state's successor would overflow: with max_steps=0 it is not computed at all
+        passes = []
+        with warnings.catch_warnings(), \
+                mock.patch.object(dynamics, "_next_values", counting_passes(passes, dynamics._next_values)):
+            warnings.simplefilter("error")
+            traj = run(P3, GarbageState([1e308, 0.0, 1e308]), Threshold.infinite(), max_steps=0)
+        self.assertEqual(passes, [])
+        self.assertEqual(traj.steps_run, 0)
 
     def test_bit_equal_copies_are_replayed_to_the_same_output(self):
         # a trajectory run did not build: nothing is shared, so every pair is replayed
@@ -288,15 +301,26 @@ class TestStepCalls(unittest.TestCase):
 class TestCertificatePasses(unittest.TestCase):
 
     def test_one_kernel_pass_per_state_read(self):
-        # k records read s and k next states, each from one pass of the orbit run walks
+        # k records measure k steps, one pass each, of the orbit run walks; pass i reads state i
         g, s = generate_graph("cycle", 6), GarbageState([0.0, 2.0, 4.0, 6.0, 8.0, 10.0])
         for threshold in (Threshold(3.0), Threshold.infinite()):  # masked and all-active passes
             for k in (1, 2, 26):
                 passes = []
                 with mock.patch.object(dynamics, "_next_values", counting_passes(passes, dynamics._next_values)):
                     read = [s, *(nxt for _, nxt in islice(_lyapunov_steps(g, s, threshold), k))]
-                self.assertEqual(len(passes), k + 1)
-                self.assertTrue(all(x is state.values for x, state in zip(passes, read)))
+                self.assertEqual(len(passes), k)
+                self.assertTrue(all(x is state.values for x, state in zip(passes, read[:k])))
+
+    def test_a_record_takes_one_pass_and_an_energy_none(self):
+        g, s = generate_graph("cycle", 6), GarbageState([0.0, 2.0, 4.0, 6.0, 8.0, 10.0])
+        for threshold in (Threshold(3.0), Threshold.infinite()):
+            passes = []
+            with mock.patch.object(dynamics, "_next_values", counting_passes(passes, dynamics._next_values)):
+                lyapunov_z(g, s, threshold)
+                self.assertEqual(passes, [])
+                lyapunov_record(g, s, threshold)
+            self.assertEqual(len(passes), 1)
+            self.assertIs(passes[0], s.values)
 
 
 class TestCompressedTrajectory(unittest.TestCase):

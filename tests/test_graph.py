@@ -44,6 +44,18 @@ class TestGraphType(unittest.TestCase):
             with self.assertRaisesRegex(GraphError, "integer vertex pairs", msg=repr(edges)):
                 Graph(3, edges)
 
+    def test_rejects_bool_endpoints(self):
+        # np.asarray turned (True, 2) into the edge (1, 2), though no vertex id may be True
+        for edges, row in (([(True, 2)], (True, 2)), ([(1, 2), [np.True_, 3]], [np.True_, 3]),
+                           ({(2, False)}, (2, False)), ([np.array([1, 3]), (np.False_, 2)], (np.False_, 2))):
+            with self.assertRaises(GraphError, msg=repr(edges)) as ctx:
+                Graph(3, edges)
+            self.assertEqual(str(ctx.exception), f"edge {row!r} has a bool endpoint; endpoints must be integers")
+        for edges in ([(True, False)], np.array([[True, False]])):  # all-bool pairs keep a bool dtype
+            with self.assertRaisesRegex(GraphError, "integer vertex pairs, got shape \\(1, 2\\), dtype bool"):
+                Graph(3, edges)
+        self.assertEqual(Graph(3, [(np.int64(1), 2), np.array([1, 3])]).edge_list, ((1, 2), (1, 3)))
+
     def test_rejects_rows_that_are_not_pairs(self):
         # a (2, 3) array is two rows of three, not three pairs
         not_pairs = ([(1, 2, 3)], [(1, 2), (2, 3, 1)], [(1, 2), (3,)], [()], np.array([1, 2]), [[1, 2, 3], [1, 2, 3]])

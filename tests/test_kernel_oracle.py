@@ -92,7 +92,7 @@ def ref_active_topology(g, s, threshold):
     Graph: the edge set, each vertex's neighbor tuple cut from the half-edges
     (src, dst, edge id) sorted by (dst, src), and the Laplacian of a second Graph
     on the active edges."""
-    _, mask, _ = _active(g, s, threshold)
+    _, mask, *_ = _active(g, s, threshold)
     eu, ev = g._ends
     ids = np.arange(g.edge_count)
     src, dst, eid = np.concatenate((eu, ev)), np.concatenate((ev, eu)), np.concatenate((ids, ids))
@@ -220,21 +220,22 @@ class TestKernelMatchesLoops(unittest.TestCase):
         # says that the mask covers every edge
         for k, (g, x, _) in enumerate(instances(derive_seed(4043, 0), 200)):
             msg = f"instance {k}: n={g.n} edges={g.edge_count}"
-            x = np.array(x)
-            gathered, mask = x[g._orientations[0]], np.ones(g.edge_count, dtype=bool)
-            all_active = _next_values(g, x, gathered, mask)
+            s = GarbageState(x)
+            _, mask, gathered, m = _active(g, s, math.inf)
+            self.assertEqual(m, g.edge_count, msg=msg)
+            self.assertTrue(mask.all(), msg=msg)
+            all_active = _next_values(g, s.values, gathered, mask, m)
             with mock.patch.object(Graph, "edge_count", -1):
-                masked = _next_values(g, x, gathered, mask)
-            self.assertEqual(all_active[2], masked[2], msg=msg)
-            for got, want in zip(all_active[:2], masked[:2]):
+                masked = _next_values(g, s.values, gathered, mask, m)
+            for got, want in zip(all_active, masked):
                 self.assertEqual(got.dtype, want.dtype, msg=msg)
                 self.assertEqual(got.tobytes(), want.tobytes(), msg=msg)
 
     def test_all_active_step_skips_the_mask(self):
         # all active: one sum, over the gathered amounts themselves, and g's own degrees
         passes = []
-        def spy(g, x, gathered, mask):
-            passes.append((gathered, mask, _next_values(g, x, gathered, mask)))
+        def spy(g, x, gathered, mask, m):
+            passes.append((gathered, mask, _next_values(g, x, gathered, mask, m)))
             return passes[-1][2]
 
         g, s = generate_graph("cycle", 5), GarbageState([0.0, 1.0, 2.0, 3.0, 9.0])
@@ -245,7 +246,7 @@ class TestKernelMatchesLoops(unittest.TestCase):
                 with mock.patch.object(np, "bincount", wraps=np.bincount) as bincount:
                     step(g, s, eps)
                 sums.append([c.kwargs["weights"] for c in bincount.call_args_list])
-        (gathered, _, (_, deg, _)), (_, mask, _) = passes
+        (gathered, _, (_, deg)), (_, mask, _) = passes
         self.assertEqual(len(sums[0]), 1)
         self.assertIs(sums[0][0], gathered)
         self.assertIs(deg, g._degree_array)
