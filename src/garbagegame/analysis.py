@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import pairwise
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from .dynamics import (
     GarbageState,
     Threshold,
     Trajectory,
+    _energy_terms,
     _orbit,
     _ordered_sum,
     as_threshold,
@@ -57,7 +58,8 @@ def lyapunov_z(g: Graph, s: GarbageState, eps: "Threshold | float") -> float:
     reduced form, plain squared differences over social-edge pairs only
     (the capped form would be infinite; the dropped terms are constant).
     """
-    return next(_orbit(g, s, as_threshold(eps)))[2]
+    threshold = as_threshold(eps)
+    return _energy_terms(g, next(_orbit(g, s, threshold))[1], threshold)[1]
 
 
 def _decrement_bound(edge_count: int, deg: np.ndarray, x: np.ndarray, x_next: np.ndarray) -> float:
@@ -87,7 +89,8 @@ def _lyapunov_steps(
     """lyapunov_record for s and each later state, with the validated next state, without
     end: read off consecutive pairs of dynamics._orbit, the walk run reads too, so k records
     take k kernel passes, one for each step they measure."""
-    for (cur, sq, z, m, _), (nxt, sq_next, _, _, deg) in pairwise(_orbit(g, s, threshold)):
+    walk = ((state, *_energy_terms(g, d, threshold), m, deg) for state, d, m, deg in _orbit(g, s, threshold))
+    for (cur, sq, z, m, _), (nxt, sq_next, _, _, deg) in pairwise(walk):
         decrement = 2.0 * _ordered_sum(sq - sq_next)
         yield LyapunovRecord(z, decrement, _decrement_bound(m, deg, cur.values, nxt.values)), nxt
 
@@ -128,24 +131,71 @@ def roundoff_slack(scale: float) -> float:
     return 4.0 * math.ulp(max(1.0, abs(scale)))
 
 
-def _scaled_totals(states: Sequence[GarbageState]) -> tuple[list[float], float]:
-    """The states' float64 totals and the factor that scales them back: 1 unless a
-    plain sum overflows; then every total is summed from x * 2^-k, 2^k > n.  Sums
-    scale exactly by 2^-k, as step does, so means and total differences come out
-    as with an unbounded exponent (short of amounts below 2^(k-1022))."""
-    with np.errstate(over="ignore"):
-        totals = [float(s.values.sum()) for s in states]
-    if math.inf not in totals:
-        return totals, 1.0
-    k = states[0].n.bit_length()
-    return [float(np.ldexp(s.values, -k).sum()) for s in states], 2.0**k
+class _SummaryFold:
+    """The quantities of convergence_report, folded state by state in O(1) memory: add takes a
+    run's states in order (the distinct prefix of a recorded tail is enough: the tail repeats its
+    totals, their steps and its spreads), report then reads the final state.
+
+    Every total is summed both plainly and from x * 2^-k, 2^k > n; if a plain sum overflows, all
+    are read from the scaled sums and the factor 2^k.  Sums scale exactly by 2^-k, as step does,
+    so means and total differences come out as with an unbounded exponent (short of amounts
+    below 2^(k-1022))."""
+
+    def __init__(self, n: int, epsilon: float) -> None:
+        self.n, self.k, self.epsilon = n, n.bit_length(), epsilon
+        self.first = self.last = None  # (plain, scaled) totals
+        self.plain_step = self.scaled_step = 0.0  # the largest |total difference| of consecutive states
+        self.overflow = False
+        self.trivialization_time = None
+
+    def _totals(self, s: GarbageState) -> tuple[float, float]:
+        with np.errstate(over="ignore"):
+            return float(s.values.sum()), float(np.ldexp(s.values, -self.k).sum())
+
+    def add(self, s: GarbageState, spread: float) -> None:
+        """Fold in the next state, and its spread for the first time it is at most epsilon."""
+        plain, scaled = totals = self._totals(s)
+        self.overflow |= plain == math.inf
+        if self.last is None:
+            self.first = totals
+        else:
+            self.plain_step = max(self.plain_step, abs(plain - self.last[0]))
+            self.scaled_step = max(self.scaled_step, abs(scaled - self.last[1]))
+        self.last = totals
+        if self.trivialization_time is None and spread <= self.epsilon:
+            self.trivialization_time = s.time
+
+    def _unit(self) -> float:
+        return 2.0**self.k if self.overflow else 1.0
+
+    def conservation_error(self) -> float:
+        return (self.scaled_step if self.overflow else self.plain_step) * self._unit()
+
+    def report(self, final: GarbageState, converged: bool, steps_run: int) -> ConvergenceReport:
+        """The report of a run that ended at final, one of the states added (a mean is its total / n:
+        numpy's mean, bit for bit)."""
+        unit = self._unit()
+        initial_average = self.first[self.overflow] / self.n * unit
+        return ConvergenceReport(
+            converged=converged,
+            limit_estimate=self._totals(final)[self.overflow] / self.n * unit,
+            initial_average=initial_average,
+            max_deviation_from_average=float(np.max(np.abs(final.values - initial_average))),
+            trivialization_time=self.trivialization_time,
+            steps_run=steps_run,
+            conservation_error=self.conservation_error(),
+        )
 
 
 def conservation_violation(a: GarbageState, b: GarbageState) -> str | None:
     """Why the step a -> b changed the total beyond 1e-12 * a.n * max(a), or None."""
     budget = 1e-12 * a.n * float(a.values.max())
-    (total_a, total_b), unit = _scaled_totals((a, b))
-    drift = abs(total_b - total_a) * unit
+    with np.errstate(over="ignore"):
+        totals, unit = [float(s.values.sum()) for s in (a, b)], 1.0
+    if math.inf in totals:  # the sums of x * 2^-k, scaled back, as in _SummaryFold
+        k = a.n.bit_length()
+        totals, unit = [float(np.ldexp(s.values, -k).sum()) for s in (a, b)], 2.0**k
+    drift = abs(totals[1] - totals[0]) * unit
     if drift > budget:
         return f"conservation drift {drift:.3e} exceeds {budget:.3e} at t={a.time}"
     return None
@@ -173,23 +223,8 @@ def convergence_report(traj: Trajectory) -> ConvergenceReport:
     spreads, so conservation_error and trivialization_time come out as over
     every state.
     """
-    g = traj.graph
+    fold = _SummaryFold(traj.graph.n, traj.threshold.epsilon)
     k = traj.distinct_length()
-    states, diags = traj.states[:k], traj.diagnostics[:k]
-    final = traj.states[-1]
-    # the final state repeats one of the first k, so it changes no overflow decision;
-    # a mean is its total / n: numpy's mean, bit for bit
-    (*totals, final_total), unit = _scaled_totals([*states, final])
-    initial_average = totals[0] / g.n * unit
-    max_dev = float(np.max(np.abs(final.values - initial_average)))
-    conservation_error = max((abs(b - a) for a, b in zip(totals, totals[1:])), default=0.0) * unit
-    trivialization_time = next((s.time for s, d in zip(states, diags) if d.max_diff <= traj.threshold.epsilon), None)
-    return ConvergenceReport(
-        converged=traj.converged,
-        limit_estimate=final_total / g.n * unit,
-        initial_average=initial_average,
-        max_deviation_from_average=max_dev,
-        trivialization_time=trivialization_time,
-        steps_run=traj.steps_run,
-        conservation_error=conservation_error,
-    )
+    for s, d in zip(traj.states[:k], traj.diagnostics[:k]):
+        fold.add(s, d.max_diff)
+    return fold.report(traj.states[-1], traj.converged, traj.steps_run)

@@ -12,15 +12,17 @@ float64 exactly, so identical flags and seed give byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
-from itertools import islice
-from typing import Any, Callable, Iterator
+from itertools import islice, pairwise
+from typing import Any, Callable
 
 import numpy as np
 
 from .analysis import (
     _lyapunov_steps,
+    _SummaryFold,
     conservation_violation,
     convergence_report,
     hull_bounds,
@@ -33,17 +35,18 @@ from .dynamics import (
     Threshold,
     Trajectory,
     _active,
+    _energy_terms,
+    _Walk,
     effective_edges,
-    run,
     step,
     transition_matrix,
 )
 from .graph import Graph, generate_graph, is_connected, is_star, laplacian, parse_edge_list, random_connected_graph
+from .output import _FLOAT_FORMAT, _CsvRows, _written_on_success
 from .rng import Xoshiro256StarStar, derive_seed
 from .spectral import ISOPERIMETRIC_MAX_ORDER, cheeger_check, nontrivial_displacement_bound
 
 _GENERAL_MAX_ORDER = 200  # dense eigen/step work stays desk-scale
-_FLOAT_FORMAT = "%.17g"  # every number in emitted files: format_float and the CSV rows
 
 
 class CliError(Exception):
@@ -81,32 +84,17 @@ def to_json(value: Any) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _csv_pieces(traj: Trajectory) -> Iterator[str]:
-    """The per-step CSV in pieces: the header line, then per row f"{t}," and
-    the text of the rest of the row.  With a recorded periodic tail, row i is
-    written from the stored row j = PeriodicList.source(i) it repeats: its text
-    is reused and its t is row j's time plus i - j, so no tail state is made."""
-    n = traj.graph.n
-    yield "t," + ",".join(f"x_{i}" for i in range(1, n + 1)) + ",z,active_edges,max_diff\n"
-    row_format = ",".join([_FLOAT_FORMAT] * (n + 1)) + f",%d,{_FLOAT_FORMAT}\n"  # x_1..x_n, z, |E_t|, spread
-    tail = traj.periodic_tail
-    period_rows = {}  # the time and text after t of the stored rows the tail repeats, by stored index
-    for i in range(len(traj.states)):
-        j = traj.states.source(i) if tail else i
-        row = period_rows.get(j)
-        if row is None:
-            state, diag = traj.states[j], traj.diagnostics[j]
-            row = state.time, row_format % (*state.values.tolist(), diag.z, diag.active_edges, diag.max_diff)
-            if tail and j >= tail[0]:
-                period_rows[j] = row
-        yield f"{row[0] + i - j},"
-        yield row[1]
-
-
 def trajectory_csv(traj: Trajectory) -> str:
     """Per-step CSV: t, x_1..x_n, energy, active edge count, max difference.
-    simulate --out writes the same pieces to the file without joining them."""
-    return "".join(_csv_pieces(traj))
+    Only the stored rows of a recorded periodic tail are formatted; simulate
+    --out streams the same pieces to the file."""
+    csv, tail = _CsvRows(), traj.periodic_tail
+    stored = sum(tail) if tail else len(traj.states)
+    pieces = []
+    for s, d in zip(traj.states[:stored], traj.diagnostics[:stored]):
+        pieces += csv.row(s, d.z, d.active_edges, d.max_diff)
+    pieces += csv.tail(len(traj.states) - stored, tail[1] if tail else 0)
+    return "".join(pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +310,15 @@ def run_verify(suite: str, trials: int, seed: int, size_lo: int, size_hi: int) -
 # trajectory re-validation (--validate)
 
 
+def _check_step(g: Graph, threshold: Threshold, a: GarbageState, b: GarbageState) -> None:
+    """Raise on the first of: b is not a's step bit for bit, the total moved, the hull grew."""
+    if not np.array_equal(step(g, a, threshold).values, b.values):
+        raise CliError(f"trajectory mismatch: step from t={a.time} does not reproduce t={b.time}")
+    message = conservation_violation(a, b) or hull_violation(a, b)
+    if message:
+        raise CliError(f"invalid trajectory: {message}")
+
+
 def validate_trajectory(traj: Trajectory) -> None:
     """Re-check each distinct step on an emitted trajectory: it reproduces bit
     for bit, conserves the total and stays in the hull; raises on the first
@@ -330,14 +327,8 @@ def validate_trajectory(traj: Trajectory) -> None:
     of the distinct prefix (Trajectory.distinct_length) are replayed: the
     transient, one period and the wrap to the period's start.  Without a
     record (a trajectory built from lists, edited or not), every pair is."""
-    g = traj.graph
-    states = traj.states[: traj.distinct_length()]
-    for a, b in zip(states, states[1:]):
-        if not np.array_equal(step(g, a, traj.threshold).values, b.values):
-            raise CliError(f"trajectory mismatch: step from t={a.time} does not reproduce t={b.time}")
-        message = conservation_violation(a, b) or hull_violation(a, b)
-        if message:
-            raise CliError(f"invalid trajectory: {message}")
+    for a, b in pairwise(traj.states[: traj.distinct_length()]):
+        _check_step(traj.graph, traj.threshold, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -348,10 +339,20 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     s0 = _initial_state(args, g.n)
     threshold = Threshold.parse(args.epsilon)
-    traj = run(g, s0, threshold, max_steps=args.max_steps, convergence_tol=args.tol)
-    if args.validate:
-        validate_trajectory(traj)
-    report = convergence_report(traj)
+    walk = _Walk(g, s0, threshold, args.max_steps, args.tol)
+    fold, csv, prev = _SummaryFold(g.n, threshold.epsilon), _CsvRows(), None
+    # one pass over the walk feeds --validate, the summary and the CSV; no trajectory is kept
+    with _written_on_success(args.out) if args.out else contextlib.nullcontext() as fh:
+        for s, d, m, spread in walk:
+            if args.validate and prev:
+                _check_step(g, threshold, prev, s)
+            fold.add(s, spread)
+            if fh:
+                fh.writelines(csv.row(s, _energy_terms(g, d, threshold)[1], m, spread))
+            prev = s
+        if fh:
+            fh.writelines(csv.tail(walk.steps_run - (s.time - s0.time), walk.period))
+    report = fold.report(walk.final, walk.converged, walk.steps_run)
     summary = {
         "n": g.n,
         "epsilon": "inf" if threshold.is_infinite else threshold.epsilon,
@@ -366,9 +367,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "is_connected": is_connected(g),
     }
     summary_text = to_json(summary) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(_csv_pieces(traj))
     if args.summary:
         with open(args.summary, "w", encoding="utf-8", newline="") as fh:
             fh.write(summary_text)

@@ -307,15 +307,58 @@ def step(g: Graph, s: GarbageState, eps: "Threshold | float") -> GarbageState:
 
 
 def _orbit(g: Graph, s: GarbageState, threshold: Threshold) -> Iterator[tuple]:
-    """s and its later states, without end, each validated, as (state, capped squares, Z,
-    |E_t|, active degrees of the step into it; None for s).  A state's successor is made,
-    by the one kernel pass, only when the walk resumes, so k states cost k - 1 passes."""
+    """s and its later states, without end, each validated, as (state, edge differences d, |E_t|,
+    active degrees of the step into it; None for s).  A state's successor is made, by the one kernel
+    pass, only when the walk resumes, so k states cost k - 1 passes.  Z is left to the readers that
+    need it (_energy_terms on d)."""
     deg = None
     while True:
         d, mask, gathered, m = _active(g, s, threshold.epsilon)
-        yield (s, *_energy_terms(g, d, threshold), m, deg)
+        yield s, d, m, deg
         x_next, deg = _next_values(g, s.values, gathered, mask, m)
         s = GarbageState(x_next, time=s.time + 1)
+
+
+class _Walk:
+    """run's walk from s0, read once.  Iterating yields (state, edge differences d, |E_t|, spread)
+    for each distinct state and ends on run's stop test, at max_steps, or after yielding the first
+    state that has the bits of the state period = 1 or 2 steps back (-0.0 and +0.0 differ): the rest
+    of the run repeats the last period states yielded, so it is not stepped.  period, converged
+    (run's verdict, False on a periodic tail) and steps_run are set before the last state is
+    yielded; final, the run's state at steps_run, can be read once the walk is."""
+
+    def __init__(self, g: Graph, s0: GarbageState, threshold: Threshold, max_steps: int, convergence_tol: float):
+        if not isinstance(max_steps, int) or isinstance(max_steps, bool) or max_steps < 0:
+            raise ValueError(f"max_steps must be a nonnegative integer, got {max_steps!r}")
+        if not (convergence_tol > 0.0):
+            raise ValueError(f"convergence_tol must be positive, got {convergence_tol!r}")
+        self._args = g, s0, threshold, max_steps, convergence_tol
+        self.converged, self.period, self.steps_run = False, 0, None
+        self._last = []  # the last two states yielded
+
+    def __iter__(self) -> Iterator[tuple[GarbageState, np.ndarray, int, float]]:
+        g, s0, threshold, max_steps, tol = self._args
+        for i, (s, d, m, _) in enumerate(_orbit(g, s0, threshold)):
+            bits, last = s.values.tobytes(), self._last
+            self.period = next((p for p in (1, 2) if p <= len(last) and last[-p].values.tobytes() == bits), 0)
+            spread = s.max_pairwise_diff()
+            self.converged = not self.period and spread <= tol and m == g.edge_count
+            if self.period or self.converged or i == max_steps:
+                self.steps_run = max_steps if self.period else i
+            self._last = [*last[-1:], s]
+            yield s, d, m, spread
+            if self.steps_run is not None:
+                return
+
+    @property
+    def final(self) -> GarbageState:
+        """The run's state at steps_run: the last one yielded, or on a periodic tail the one of the
+        last period yielded that it repeats, re-timed."""
+        last, p, t_end = self._last, self.period, self._args[1].time + self.steps_run
+        if not p:
+            return last[-1]
+        s = last[(t_end - last[-1].time - 1) % p - p]
+        return GarbageState._retimed(s, t_end - s.time)
 
 
 def run(
@@ -327,9 +370,9 @@ def run(
 ) -> Trajectory:
     """Iterate the step up to max_steps, recording diagnostics each step.
 
-    The states are read from _orbit, the one walk that the Lyapunov
-    certificate reads too: each comes validated, with its energy Z and active
-    edge count |E_t|, and its successor is computed only if the run goes on.
+    The states are read from _Walk, the walk simulate streams without storing
+    it: each comes validated, with its edge differences, from which Z is taken
+    here, and |E_t|, and its successor is computed only if the run goes on.
 
     Stops early once the amounts agree within convergence_tol AND every
     social edge is active (the post-threshold regime); oscillation on a
@@ -346,21 +389,14 @@ def run(
     period's diagnostics object itself.
     """
     threshold = as_threshold(eps)
-    if not isinstance(max_steps, int) or isinstance(max_steps, bool) or max_steps < 0:
-        raise ValueError(f"max_steps must be a nonnegative integer, got {max_steps!r}")
-    if not (convergence_tol > 0.0):
-        raise ValueError(f"convergence_tol must be positive, got {convergence_tol!r}")
+    walk = _Walk(g, s0, threshold, max_steps, convergence_tol)
     states, diags = [], []
-    for s, _, z, m, _ in _orbit(g, s0, threshold):
-        bits = s.values.tobytes()
-        period = next((p for p in (1, 2) if p <= len(states) and states[-p].values.tobytes() == bits), 0)
-        if period:
-            states = PeriodicList(states, period, max_steps + 1, GarbageState._retimed)
-            diags = PeriodicList(diags, period, max_steps + 1)
-            break
+    for s, d, m, spread in walk:
+        if walk.period:
+            break  # the tail's first state, which repeats a stored one
         states.append(s)
-        diags.append(StepDiagnostics(z, m, s.max_pairwise_diff()))
-        converged = diags[-1].max_diff <= convergence_tol and m == g.edge_count
-        if converged or len(states) > max_steps:
-            break
-    return Trajectory(graph=g, threshold=threshold, states=states, diagnostics=diags, converged=converged)
+        diags.append(StepDiagnostics(_energy_terms(g, d, threshold)[1], m, spread))
+    if walk.period:
+        states = PeriodicList(states, walk.period, max_steps + 1, GarbageState._retimed)
+        diags = PeriodicList(diags, walk.period, max_steps + 1)
+    return Trajectory(graph=g, threshold=threshold, states=states, diagnostics=diags, converged=walk.converged)

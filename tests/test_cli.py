@@ -11,7 +11,7 @@ import warnings
 from unittest import mock
 
 from garbagegame.cli import CliError, main, run_verify, to_json, trajectory_csv, validate_trajectory
-from garbagegame.dynamics import GarbageState, Threshold, run
+from garbagegame.dynamics import GarbageState, Threshold, run, step
 from garbagegame.graph import generate_graph, render_edge_list
 
 from fresh_python import run_python
@@ -179,6 +179,84 @@ class TestSimulate(unittest.TestCase):
         self.assertEqual(code, 1)
         self.assertEqual(out, "")
         self.assertIn("error: garbage amounts must be finite", err)
+
+    def test_out_is_written_all_or_nothing(self):
+        # the run fails at its first step, after its first CSV row was made
+        fails = ["simulate", "--generate", "path:3", "--init", "1e308,0,1e308", "--epsilon", "inf"]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "traj.csv")
+            for before in (None, "t,x_1\n0,1\n"):
+                if before is not None:
+                    with open(path, "w", encoding="utf-8") as fh:
+                        fh.write(before)
+                code, out, err = run_cli([*fails, "--out", path])
+                self.assertEqual((code, out, err), (1, "", "error: garbage amounts must be finite\n"))
+                self.assertEqual(os.listdir(tmp), [] if before is None else ["traj.csv"])
+                if before is not None:
+                    with open(path, encoding="utf-8") as fh:
+                        self.assertEqual(fh.read(), before)
+            # a --validate failure half way through the rows
+            real_step = step
+
+            def bad_step(g, s, eps):
+                nxt = real_step(g, s, eps)
+                return GarbageState(nxt.values[::-1], time=nxt.time) if s.time == 5 else nxt
+
+            with mock.patch("garbagegame.cli.step", bad_step):
+                code, _, err = run_cli(["simulate", "--generate", "path:4", "--init", "0,1,2,4", "--epsilon", "inf",
+                                        "--out", path, "--validate"])
+            self.assertEqual((code, err), (1, "error: trajectory mismatch: step from t=5 does not reproduce t=6\n"))
+            self.assertEqual(os.listdir(tmp), ["traj.csv"])
+            with open(path, encoding="utf-8") as fh:
+                self.assertEqual(fh.read(), "t,x_1\n0,1\n")
+
+    def test_out_has_the_mode_of_a_plain_open(self):
+        argv = ["simulate", "--generate", "cycle:4", "--init", "0,1,2,3", "--epsilon", "inf"]
+        with tempfile.TemporaryDirectory() as tmp:
+            plain, path = os.path.join(tmp, "plain.csv"), os.path.join(tmp, "traj.csv")
+            for mode in (None, 0o640):  # a new file, then an existing one with its own mode
+                if mode is not None:
+                    os.chmod(plain, mode)
+                    os.chmod(path, mode)
+                with open(plain, "w", encoding="utf-8"):
+                    pass
+                self.assertEqual(run_cli([*argv, "--out", path])[0], 0)
+                self.assertEqual(oct(os.stat(path).st_mode), oct(os.stat(plain).st_mode), msg=mode)
+            self.assertEqual(sorted(os.listdir(tmp)), ["plain.csv", "traj.csv"])
+
+    def test_out_through_a_link_writes_the_linked_file(self):
+        argv = ["simulate", "--generate", "cycle:4", "--init", "0,1,2,3", "--epsilon", "inf"]
+        with tempfile.TemporaryDirectory() as tmp:
+            plain, target = os.path.join(tmp, "plain.csv"), os.path.join(tmp, "target.csv")
+            symlink, hardlink = os.path.join(tmp, "sym.csv"), os.path.join(tmp, "hard.csv")
+            self.assertEqual(run_cli([*argv, "--out", plain])[0], 0)
+            with open(plain, encoding="utf-8") as fh:
+                expected = fh.read()
+            with open(target, "w", encoding="utf-8") as fh:
+                fh.write("old\n")
+            os.symlink(target, symlink)
+            os.link(target, hardlink)
+            for link in (symlink, hardlink):
+                self.assertEqual(run_cli([*argv, "--out", link])[0], 0)
+                self.assertTrue(os.path.islink(symlink))
+                self.assertTrue(os.path.samefile(target, hardlink))
+                with open(target, encoding="utf-8") as fh:
+                    self.assertEqual(fh.read(), expected, msg=link)
+                with open(target, "w", encoding="utf-8") as fh:
+                    fh.write("old\n")
+
+    def test_out_in_a_missing_directory_names_the_file(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "missing", "traj.csv")
+            code, out, err = run_cli(["simulate", "--generate", "cycle:4", "--init", "0,1,2,3", "--epsilon", "inf",
+                                      "--out", path])
+            self.assertEqual((code, out), (1, ""))
+            self.assertEqual(err, f"error: [Errno 2] No such file or directory: {path!r}\n")
+            # the file is opened after the walk, so a failing walk is the error reported
+            code, out, err = run_cli(["simulate", "--generate", "path:3", "--init", "1e308,0,1e308", "--epsilon",
+                                      "inf", "--out", path])
+            self.assertEqual((code, out, err), (1, "", "error: garbage amounts must be finite\n"))
+            self.assertEqual(os.listdir(tmp), [])
 
     def test_overflowing_energy_is_inf_and_silent(self):
         # Z of a finite state with |d| ~ 1e200 saturates to inf

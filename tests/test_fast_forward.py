@@ -1,4 +1,5 @@
-"""Fast-forward of exact periodic tails in run, the CSV and --validate.
+"""Fast-forward of exact periodic tails in run, the CSV and --validate, and
+simulate's streamed pass over the same walk.
 
 The oracle is the plain loop run used before the fast-forward: one step and
 one diagnosis per state until the stop test or max_steps.  It builds the
@@ -22,7 +23,7 @@ import warnings
 from itertools import islice
 from unittest import mock
 
-from garbagegame import cli, dynamics
+from garbagegame import analysis, cli, dynamics
 from garbagegame.analysis import _lyapunov_steps, convergence_report, lyapunov_record, lyapunov_z
 from garbagegame.cli import trajectory_csv, validate_trajectory
 from garbagegame.dynamics import GarbageState, StepDiagnostics, Threshold, Trajectory, effective_edges, run, step
@@ -136,6 +137,49 @@ def pass_times(passes, traj):
     """The time of the stored state whose amounts array each kernel pass read (None if none)."""
     stored = traj.states[: traj.distinct_length()]
     return [next((s.time for s in stored if s.values is x), None) for x in passes]
+
+
+def counting_energy(calls):
+    """Patches dynamics._energy_terms wherever it is imported, recording each call."""
+    real = dynamics._energy_terms
+
+    def counted(g, d, threshold):
+        calls.append(d)
+        return real(g, d, threshold)
+
+    stack = contextlib.ExitStack()
+    for module in (dynamics, analysis, cli):
+        stack.enter_context(mock.patch.object(module, "_energy_terms", counted))
+    return stack
+
+
+def simulate_argv(tmp, g, s0, threshold, max_steps):
+    """simulate flags that give g (through a graph file), s0 and the threshold exactly."""
+    graph_path = os.path.join(tmp, "graph.txt")
+    with open(graph_path, "w", encoding="utf-8") as fh:
+        fh.write(render_edge_list(g))
+    init = ",".join(format(v, ".17g") for v in s0.values.tolist())
+    eps = "inf" if threshold.is_infinite else format(threshold.epsilon, ".17g")
+    return ["simulate", "--graph", graph_path, "--init", init, "--epsilon", eps, "--max-steps", str(max_steps)]
+
+
+def stored_summary(traj):
+    """simulate's stdout as the stored path made it: convergence_report on the whole trajectory."""
+    report = convergence_report(traj)
+    g, threshold = traj.graph, traj.threshold
+    return cli.to_json({
+        "n": g.n,
+        "epsilon": "inf" if threshold.is_infinite else threshold.epsilon,
+        "steps_run": report.steps_run,
+        "converged": report.converged,
+        "limit_estimate": report.limit_estimate,
+        "initial_average": report.initial_average,
+        "max_abs_dev_from_average": report.max_deviation_from_average,
+        "conservation_error": report.conservation_error,
+        "trivialization_time": report.trivialization_time,
+        "is_star": cli.is_star(g),
+        "is_connected": cli.is_connected(g),
+    }) + "\n"
 
 
 class TestMatchesPlainLoop(unittest.TestCase):
@@ -254,6 +298,26 @@ class TestStepCalls(unittest.TestCase):
             self.assertLessEqual(len(steps), start + period + 1)  # the transient, one period, the wrap pair
         self.assertEqual(traj.steps_run, 100_000)
         self.assertEqual(traj.final_state.values.tolist(), [0.0, 1.0, 5.0])
+
+    def test_energy_only_where_it_is_read(self):
+        # run takes Z for each state it stores, not for the repeat that ends it on a periodic tail
+        calls = []
+        with counting_energy(calls):
+            traj = run(P3, GarbageState([0.0, 1.0, 5.0]), Threshold(2.0), max_steps=50)
+        self.assertEqual((len(calls), traj.periodic_tail), (2, (0, 2)))
+        # simulate sums no Z without --out, whether the run converges, locks or oscillates
+        for argv in (["--generate", "path:3", "--init", "0,1,5", "--epsilon", "2", "--max-steps", "50"],
+                     ["--generate", "cycle:6", "--init", "0,2,4,6,8,10", "--epsilon", "inf", "--validate"],
+                     ["--generate", "cycle:16", "--init-random", "uniform:0:100", "--epsilon", "10", "--seed", "11"]):
+            calls = []
+            with counting_energy(calls), contextlib.redirect_stdout(io.StringIO()):
+                self.assertEqual(cli.main(["simulate", *argv]), 0, msg=argv)
+            self.assertEqual(calls, [], msg=argv)
+        calls = []
+        with tempfile.TemporaryDirectory() as tmp, counting_energy(calls), contextlib.redirect_stdout(io.StringIO()):
+            out = os.path.join(tmp, "traj.csv")
+            cli.main(["simulate", "--generate", "path:3", "--init", "0,1,5", "--epsilon", "2", "--out", out])
+        self.assertEqual(len(calls), 3)  # with the CSV: the two stored rows and the repeat's row
 
     def test_one_kernel_pass_per_state(self):
         passes = []
@@ -403,21 +467,71 @@ class TestCompressedTrajectory(unittest.TestCase):
 
 
 class TestStreamedCsv(unittest.TestCase):
+    """simulate reads the walk once and keeps no trajectory; its stdout, CSV and
+    --summary must be those of run + convergence_report + trajectory_csv, and of
+    the plain loop, with --out and without."""
+
+    def assert_streams_like_the_stored_path(self, tmp, label, g, s0, threshold, max_steps):
+        traj = run(g, s0, threshold, max_steps=max_steps)
+        validate_trajectory(traj)
+        want, plain = stored_summary(traj), plain_run(g, s0, threshold, max_steps)
+        self.assertEqual(stored_summary(plain), want, msg=label)
+        out, summary = os.path.join(tmp, "traj.csv"), os.path.join(tmp, "summary.json")
+        argv = simulate_argv(tmp, g, s0, threshold, max_steps)
+        for extra in ([], ["--out", out, "--summary", summary, "--validate"]):
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                self.assertEqual(cli.main(argv + extra), 0, msg=label)
+            self.assertEqual(stdout.getvalue(), want, msg=f"{label} {extra}")
+        with open(summary, encoding="utf-8") as fh:
+            self.assertEqual(fh.read(), want, msg=label)
+        with open(out, "rb") as fh:
+            text = fh.read().decode("utf-8")
+        for name, want_text in (("trajectory_csv", trajectory_csv(traj)), ("plain_csv", plain_csv(plain))):
+            if text != want_text:  # name the first row that differs: a diff of the whole file can take minutes
+                rows, want_rows = text.splitlines(keepends=True), want_text.splitlines(keepends=True)
+                i = next((i for i, (a, b) in enumerate(zip(rows, want_rows)) if a != b), min(len(rows), len(want_rows)))
+                self.fail(f"{label} {name}: {len(rows)} rows, want {len(want_rows)}; "
+                          f"row {i} {rows[i:i + 1]} != {want_rows[i:i + 1]}")
 
     def test_seeded_instances_through_the_cli(self):
         with tempfile.TemporaryDirectory() as tmp:
-            graph_path, out = os.path.join(tmp, "graph.txt"), os.path.join(tmp, "traj.csv")
             for label, g, s0, threshold in seeded_instances():
-                with open(graph_path, "w", encoding="utf-8") as fh:
-                    fh.write(render_edge_list(g))
-                init = ",".join(format(v, ".17g") for v in s0.values.tolist())
-                eps = "inf" if threshold.is_infinite else format(threshold.epsilon, ".17g")
-                with contextlib.redirect_stdout(io.StringIO()):
-                    code = cli.main(["simulate", "--graph", graph_path, "--init", init, "--epsilon", eps,
-                                     "--max-steps", "400", "--out", out, "--validate"])
-                self.assertEqual(code, 0, msg=label)
-                with open(out, "rb") as fh:
-                    self.assertEqual(fh.read(), plain_csv(plain_run(g, s0, threshold, 400)).encode(), msg=label)
+                self.assert_streams_like_the_stored_path(tmp, label, g, s0, threshold, 400)
+
+    def test_tails_and_overflowing_totals_through_the_cli(self):
+        cases = [
+            # plain totals beyond the float64 range
+            ("overflow P2", generate_graph("path", 2), GarbageState([1.7e308] * 2), Threshold.infinite(), 100),
+            ("overflow P3", P3, GarbageState([1e308, 0.0, 1e308]), Threshold(1e300), 3),
+            ("overflow P3, no step", P3, GarbageState([1e308, 0.0, 1e308]), Threshold.infinite(), 0),
+            ("locked cycle:16", *locked_cycle16(), 600),  # a p = 1 tail after a transient
+        ]
+        # a p = 2 tail ending on either of its states, on the repeat itself (max_steps 2), or never stepped;
+        # the two states sum to 2.8000000000000003 and 2.8, so the summary tells which one ends the run
+        swap = GarbageState([2.0, 0.7, 0.1])
+        cases += [(f"P3 swap {k}", P3, swap, Threshold(0.8), k) for k in (0, 1, 2, 3, 300, 301)]
+        with tempfile.TemporaryDirectory() as tmp:
+            for case in cases:
+                self.assert_streams_like_the_stored_path(tmp, *case)
+        self.assertEqual(tail_period(run(*locked_cycle16(), 600)), 1)
+
+    def test_summary_memory_does_not_grow_with_steps(self):
+        # cycle:60 at eps = inf mixes slowly: neither run converges or repeats a state
+        peaks = []
+        for steps in (2000, 2000, 20000):  # the first run warms up the parser and numpy's caches
+            argv = ["simulate", "--generate", "cycle:60", "--init-random", "uniform:0:100", "--epsilon", "inf",
+                    "--max-steps", str(steps)]
+            stdout = io.StringIO()
+            tracemalloc.start()
+            try:
+                with contextlib.redirect_stdout(stdout):
+                    self.assertEqual(cli.main(argv), 0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            self.assertIn(f'"steps_run": {steps}, "converged": false', stdout.getvalue())
+        self.assertLess(abs(peaks[2] - peaks[1]), 8 * 1024, msg=peaks)  # the stored path grew ~920 B a step
 
     def test_locked_record_streams_in_little_memory(self):
         # a threshold-locked cycle:64 run of 10000 steps: about 12 MB of CSV, almost all of it tail rows
