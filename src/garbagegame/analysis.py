@@ -131,71 +131,68 @@ def roundoff_slack(scale: float) -> float:
     return 4.0 * math.ulp(max(1.0, abs(scale)))
 
 
+def _scale_exponent(n: int, hi: float) -> int:
+    """The k at which totals of n amounts of at most hi are summed, as sum(x * 2^-k) * 2^k: 0 while
+    n * hi < 2^1023, so no plain total can overflow (the spare factor 2 covers a step's few-ulp
+    overshoot of the hull); otherwise n.bit_length(), so 2^k > n and no scaled total can."""
+    return 0 if n * hi < 2.0**1023 else n.bit_length()
+
+
+def _total(s: GarbageState, k: int) -> float:
+    """The total of s at scale 2^-k, summed once.  Sums scale exactly by 2^-k, as step does, short of
+    amounts below 2^(k-1022); with k > 0 a run's totals are at least 2^1023 / n and absorb what those lose."""
+    return float((np.ldexp(s.values, -k) if k else s.values).sum())
+
+
 class _SummaryFold:
     """The quantities of convergence_report, folded state by state in O(1) memory: add takes a
     run's states in order (the distinct prefix of a recorded tail is enough: the tail repeats its
     totals, their steps and its spreads), report then reads the final state.
 
-    Every total is summed both plainly and from x * 2^-k, 2^k > n; if a plain sum overflows, all
-    are read from the scaled sums and the factor 2^k.  Sums scale exactly by 2^-k, as step does,
-    so means and total differences come out as with an unbounded exponent (short of amounts
-    below 2^(k-1022))."""
+    hi is the largest amount any state added holds (up to a step's roundoff), so the scale of every
+    total is decided once, by _scale_exponent: each state is summed once, and means and total
+    differences come out as with an unbounded exponent."""
 
-    def __init__(self, n: int, epsilon: float) -> None:
-        self.n, self.k, self.epsilon = n, n.bit_length(), epsilon
-        self.first = self.last = None  # (plain, scaled) totals
-        self.plain_step = self.scaled_step = 0.0  # the largest |total difference| of consecutive states
-        self.overflow = False
+    def __init__(self, n: int, epsilon: float, hi: float) -> None:
+        self.n, self.k, self.epsilon = n, _scale_exponent(n, hi), epsilon
+        self.first = self.last = None  # totals at scale 2^-k
+        self.step = 0.0  # the largest |total difference| of consecutive states, at scale 2^-k
         self.trivialization_time = None
-
-    def _totals(self, s: GarbageState) -> tuple[float, float]:
-        with np.errstate(over="ignore"):
-            return float(s.values.sum()), float(np.ldexp(s.values, -self.k).sum())
 
     def add(self, s: GarbageState, spread: float) -> None:
         """Fold in the next state, and its spread for the first time it is at most epsilon."""
-        plain, scaled = totals = self._totals(s)
-        self.overflow |= plain == math.inf
+        total = _total(s, self.k)
         if self.last is None:
-            self.first = totals
+            self.first = total
         else:
-            self.plain_step = max(self.plain_step, abs(plain - self.last[0]))
-            self.scaled_step = max(self.scaled_step, abs(scaled - self.last[1]))
-        self.last = totals
+            self.step = max(self.step, abs(total - self.last))
+        self.last = total
         if self.trivialization_time is None and spread <= self.epsilon:
             self.trivialization_time = s.time
-
-    def _unit(self) -> float:
-        return 2.0**self.k if self.overflow else 1.0
-
-    def conservation_error(self) -> float:
-        return (self.scaled_step if self.overflow else self.plain_step) * self._unit()
 
     def report(self, final: GarbageState, converged: bool, steps_run: int) -> ConvergenceReport:
         """The report of a run that ended at final, one of the states added (a mean is its total / n:
         numpy's mean, bit for bit)."""
-        unit = self._unit()
-        initial_average = self.first[self.overflow] / self.n * unit
+        unit = 2.0**self.k
+        initial_average = self.first / self.n * unit
         return ConvergenceReport(
             converged=converged,
-            limit_estimate=self._totals(final)[self.overflow] / self.n * unit,
+            limit_estimate=_total(final, self.k) / self.n * unit,
             initial_average=initial_average,
             max_deviation_from_average=float(np.max(np.abs(final.values - initial_average))),
             trivialization_time=self.trivialization_time,
             steps_run=steps_run,
-            conservation_error=self.conservation_error(),
+            conservation_error=self.step * unit,
         )
 
 
 def conservation_violation(a: GarbageState, b: GarbageState) -> str | None:
-    """Why the step a -> b changed the total beyond 1e-12 * a.n * max(a), or None."""
-    budget = 1e-12 * a.n * float(a.values.max())
-    with np.errstate(over="ignore"):
-        totals, unit = [float(s.values.sum()) for s in (a, b)], 1.0
-    if math.inf in totals:  # the sums of x * 2^-k, scaled back, as in _SummaryFold
-        k = a.n.bit_length()
-        totals, unit = [float(np.ldexp(s.values, -k).sum()) for s in (a, b)], 2.0**k
-    drift = abs(totals[1] - totals[0]) * unit
+    """Why the step a -> b changed the total beyond 1e-12 * a.n * max(a), or None.  Both totals
+    are summed once, at the scale _scale_exponent takes from the pair's largest amount."""
+    hi = float(a.values.max())
+    budget = 1e-12 * a.n * hi
+    k = _scale_exponent(a.n, max(hi, float(b.values.max())))
+    drift = abs(_total(b, k) - _total(a, k)) * 2.0**k
     if drift > budget:
         return f"conservation drift {drift:.3e} exceeds {budget:.3e} at t={a.time}"
     return None
@@ -223,8 +220,9 @@ def convergence_report(traj: Trajectory) -> ConvergenceReport:
     spreads, so conservation_error and trivialization_time come out as over
     every state.
     """
-    fold = _SummaryFold(traj.graph.n, traj.threshold.epsilon)
     k = traj.distinct_length()
-    for s, d in zip(traj.states[:k], traj.diagnostics[:k]):
+    states = traj.states[:k]  # the largest amount of them all: a built trajectory may leave its first hull
+    fold = _SummaryFold(traj.graph.n, traj.threshold.epsilon, max(float(s.values.max()) for s in states))
+    for s, d in zip(states, traj.diagnostics[:k]):
         fold.add(s, d.max_diff)
     return fold.report(traj.states[-1], traj.converged, traj.steps_run)

@@ -340,7 +340,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     s0 = _initial_state(args, g.n)
     threshold = Threshold.parse(args.epsilon)
     walk = _Walk(g, s0, threshold, args.max_steps, args.tol)
-    fold, csv, prev = _SummaryFold(g.n, threshold.epsilon), _CsvRows(), None
+    fold, csv, prev = _SummaryFold(g.n, threshold.epsilon, hull_bounds(s0)[1]), _CsvRows(), None
     # one pass over the walk feeds --validate, the summary and the CSV; no trajectory is kept
     with _written_on_success(args.out) if args.out else contextlib.nullcontext() as fh:
         for s, d, m, spread in walk:

@@ -1,6 +1,8 @@
 import math
+import sys
 import unittest
 import warnings
+from itertools import pairwise
 from unittest import mock
 
 import numpy as np
@@ -8,6 +10,8 @@ import numpy as np
 from garbagegame import analysis, dynamics
 
 from garbagegame.analysis import (
+    ConvergenceReport,
+    _SummaryFold,
     conservation_violation,
     convergence_report,
     decrement_lower_bound,
@@ -20,6 +24,7 @@ from garbagegame.analysis import (
 )
 from garbagegame.dynamics import (
     GarbageState,
+    StepDiagnostics,
     Threshold,
     Trajectory,
     effective_edges,
@@ -340,6 +345,153 @@ class TestConvergenceReport(unittest.TestCase):
         g = Graph(2, frozenset({(1, 2)}))
         with self.assertRaisesRegex(ValueError, "at least one state"):  # so a report always has a final state
             Trajectory(graph=g, threshold=Threshold(1.0), states=[], diagnostics=[])
+
+
+def _two_sums(s: GarbageState, k: int) -> tuple[float, float]:
+    with np.errstate(over="ignore"):
+        return float(s.values.sum()), float(np.ldexp(s.values, -k).sum())
+
+
+def _two_sum_report(n, epsilon, states, spreads, final, converged, steps_run) -> ConvergenceReport:
+    """The report by the two-sum rule, the oracle of the one-scale fold: every state is summed plainly and
+    at 2^-k, k = n.bit_length(), and the scaled sums are read once any plain total is inf."""
+    k = n.bit_length()
+    totals = [_two_sums(s, k) for s in states]
+    overflow = math.inf in [plain for plain, _ in totals]
+    picked, unit = [t[overflow] for t in totals], 2.0**k if overflow else 1.0
+    largest_step = 0.0
+    for a, b in pairwise(picked):
+        largest_step = max(largest_step, abs(b - a))
+    initial_average = picked[0] / n * unit
+    return ConvergenceReport(
+        converged=converged,
+        limit_estimate=_two_sums(final, k)[overflow] / n * unit,
+        initial_average=initial_average,
+        max_deviation_from_average=float(np.max(np.abs(final.values - initial_average))),
+        trivialization_time=next((s.time for s, d in zip(states, spreads) if d <= epsilon), None),
+        steps_run=steps_run,
+        conservation_error=largest_step * unit,
+    )
+
+
+def _two_sum_violation(a: GarbageState, b: GarbageState) -> str | None:
+    """conservation_violation by the two-sum rule: plain totals, and totals at 2^-k once one is inf."""
+    budget = 1e-12 * a.n * float(a.values.max())
+    with np.errstate(over="ignore"):
+        totals, unit = [float(s.values.sum()) for s in (a, b)], 1.0
+    if math.inf in totals:
+        k = a.n.bit_length()
+        totals, unit = [float(np.ldexp(s.values, -k).sum()) for s in (a, b)], 2.0**k
+    drift = abs(totals[1] - totals[0]) * unit
+    if drift > budget:
+        return f"conservation drift {drift:.3e} exceeds {budget:.3e} at t={a.time}"
+    return None
+
+
+class _CountedSums(np.ndarray):
+    calls = 0
+
+    def sum(self, *args, **kwargs):
+        _CountedSums.calls += 1
+        return super().sum(*args, **kwargs)
+
+
+def _counted(s: GarbageState) -> GarbageState:
+    """s, with every .sum of its values (or of an array computed from them) counted."""
+    s = GarbageState(s.values, s.time)
+    object.__setattr__(s, "values", s.values.view(_CountedSums))
+    return s
+
+
+class TestOneScalePerRun(unittest.TestCase):
+    """The fold and conservation_violation sum each state once, at a scale decided once from the
+    largest amount, with the same bits as the two-sum rule on both sides of n * max = 2^1023."""
+
+    TINY = (0.0, 5e-324, 1e-310, 1e-300)
+
+    def test_matches_the_two_sum_rule_across_the_ceiling(self):
+        sides = [0, 0]  # runs with n * max below 2^1023; at or above it with every plain total finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for trial in range(400):
+                rng = Xoshiro256StarStar(derive_seed(2003, trial))
+                n = 9 + rng.randrange(40)
+                g = generate_graph("cycle" if trial % 2 else "path", n)
+                hi = 3.0 ** rng.uniform(-1.0, 1.0) / n * 2.0**1023  # receipts, <= 2 * hi, stay finite
+                x = [hi * rng.random() if rng.random() < 0.7 else self.TINY[rng.randrange(4)] for _ in range(n)]
+                x[rng.randrange(n)] = hi
+                eps = Threshold.infinite() if trial % 4 < 2 else Threshold((0.05 + rng.random()) * hi)
+                traj = run(g, GarbageState(x), eps, max_steps=rng.randrange(12))
+                k = traj.distinct_length()
+                states, spreads = traj.states[:k], [d.max_diff for d in traj.diagnostics[:k]]
+                if n * hi < 2.0**1023:
+                    sides[0] += 1
+                elif all(_two_sums(s, 0)[0] < math.inf for s in states):
+                    sides[1] += 1
+                want = repr(_two_sum_report(n, eps.epsilon, states, spreads, traj.states[-1], traj.converged,
+                                            traj.steps_run))
+                fold = _SummaryFold(n, eps.epsilon, hi)  # as simulate folds: the scale from s0's max
+                for s, spread in zip(states, spreads):
+                    fold.add(s, spread)
+                self.assertEqual(repr(fold.report(traj.states[-1], traj.converged, traj.steps_run)), want)
+                self.assertEqual(repr(convergence_report(traj)), want)
+                for a, b in pairwise(states):
+                    y = b.values.copy()
+                    j = rng.randrange(n)  # moved by 1e-16 to 1e-9 of itself: about half are violations
+                    y[j] = min(y[j] * (1.0 + (rng.random() - 0.5) * 10.0 ** (-16 + 7 * rng.random())) +
+                               self.TINY[rng.randrange(4)], sys.float_info.max)
+                    for c in (b, GarbageState(y, b.time)):
+                        self.assertEqual(conservation_violation(a, c), _two_sum_violation(a, c))
+        self.assertGreater(min(sides), 150)
+
+    def test_built_trajectory_whose_later_total_overflows(self):
+        # the first state's n * max is below 2^1023, so the scale comes from the later state's max
+        states = [GarbageState([2.9e307] * 3), GarbageState([1e308, 0.0, 1e308], time=1)]
+        spreads = [s.max_pairwise_diff() for s in states]
+        traj = Trajectory(graph=P3, threshold=Threshold.infinite(), states=states,
+                          diagnostics=[StepDiagnostics(0.0, 2, d) for d in spreads])
+        report = convergence_report(traj)
+        self.assertEqual(repr(report), repr(_two_sum_report(3, math.inf, states, spreads, states[-1], False, 1)))
+        self.assertEqual((report.initial_average, report.limit_estimate), (2.9e307, 1e308 / 3 * 2))
+        self.assertTrue(math.isfinite(report.conservation_error))
+
+    def test_real_violation_at_the_float_ceiling(self):
+        top = sys.float_info.max
+        for a, b, want in (
+            # n * max beyond 2^1023 with finite plain totals; then b's plain total is inf, with a's n * max
+            # beyond 2^1023 and below it
+            ([8e307, 8e307, 0.0], [8e307, 8e307, 1e300], "conservation drift 1.000e+300 exceeds 2.400e+296 at t=4"),
+            ([top, 0.0], [top, 1e297], "conservation drift 1.000e+297 exceeds 3.595e+296 at t=4"),
+            ([4.4e307, 4.4e307], [1e308, 1e308], "conservation drift 1.120e+308 exceeds 8.800e+295 at t=4"),
+        ):
+            a, b = GarbageState(a, time=4), GarbageState(b, time=5)
+            self.assertEqual(conservation_violation(a, b), want)
+            self.assertEqual(_two_sum_violation(a, b), want)
+
+    def test_ordinary_scale_sums_each_state_once(self):
+        traj = run(C4, GarbageState([0.0, 1.0, 2.0, 3.0]), Threshold(2.5), max_steps=6)
+        states = [_counted(s) for s in traj.states]
+        with mock.patch.object(np, "ldexp", wraps=np.ldexp) as ldexp, \
+                mock.patch.object(np, "errstate", wraps=np.errstate) as errstate:
+            _CountedSums.calls = 0
+            fold = _SummaryFold(4, 2.5, 3.0)
+            for s, d in zip(states, traj.diagnostics):
+                fold.add(s, d.max_diff)
+            self.assertEqual(_CountedSums.calls, len(states))
+            _CountedSums.calls = 0
+            for a, b in pairwise(states):
+                self.assertIsNone(conservation_violation(a, b))
+            self.assertEqual(_CountedSums.calls, 2 * (len(states) - 1))
+        self.assertEqual((ldexp.call_count, errstate.call_count), (0, 0))
+
+    def test_beyond_the_ceiling_each_state_is_summed_once_too(self):
+        states = [_counted(GarbageState([1e308, 0.0, 1e308], time=t)) for t in range(3)]
+        _CountedSums.calls = 0
+        fold = _SummaryFold(3, 1e300, 1e308)
+        for s in states:
+            fold.add(s, 1e308)
+        self.assertEqual(_CountedSums.calls, 3)
+        self.assertEqual(fold.report(states[-1], False, 2).initial_average, 1e308 / 3 * 2)
 
 
 class TestAbsorbingRegime(unittest.TestCase):

@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -272,16 +273,26 @@ class TestSimulate(unittest.TestCase):
         self.assertEqual([row["z"] for row in rows], ["inf"] * 6)
 
     def test_totals_beyond_float64_range(self):
-        # the plain float64 sums overflow: the summary still holds the exact means, as JSON
+        # the plain float64 sums overflow: the summary still holds the exact means, as JSON, and the summary
+        # and CSV keep their bytes (sha256)
         mean = 1e308 / 3 * 2
-        for argv, want in (
-            (["--generate", "path:2", "--init", "1.7e308,1.7e308", "--epsilon", "inf"], (1.7e308, 0.0)),
+        for argv, want, digests in (
+            (["--generate", "path:2", "--init", "1.7e308,1.7e308", "--epsilon", "inf"], (1.7e308, 0.0),
+             ("feb91b3caf239fe27f3be35becb95b7a4d8a639987a204d0e931bcc16f40a48b",
+              "fe8c7777ced1e3f37158c93f50f937e4fc7fe8edc9f16d007b213d87c16ac39c")),
             (["--generate", "path:3", "--init", "1e308,0,1e308", "--epsilon", "1e300", "--max-steps", "3",
-              "--validate"], (mean, mean)),
+              "--validate"], (mean, mean),
+             ("5887dfeb12437590ed30ed26e38058e1bdefd18e721afa904568f2203587a8a8",
+              "46ba3665339e43f24b0ce5bdc7a9c5fa6897b6427508c7e54bd253c39865a4f2")),
         ):
-            proc = run_fresh(["simulate", *argv])
+            with tempfile.TemporaryDirectory() as tmp:
+                path = os.path.join(tmp, "traj.csv")
+                proc = run_fresh(["simulate", *argv, "--out", path])
+                with open(path, "rb") as fh:
+                    csv_bytes = fh.read()
             self.assertEqual(proc.returncode, 0, msg=proc.stderr)
             self.assertEqual(proc.stderr, "")
+            self.assertEqual(tuple(hashlib.sha256(b).hexdigest() for b in (proc.stdout.encode(), csv_bytes)), digests)
             summary = json.loads(proc.stdout)
             self.assertEqual(summary["limit_estimate"], want[0])
             self.assertEqual(summary["initial_average"], want[0])

@@ -13,7 +13,7 @@ import os
 import tempfile
 import unittest
 
-from garbagegame.cli import main
+from garbagegame.cli import VERIFY_SUITES, main
 
 # name -> (argv, sha256 of stdout summary, sha256 of --out CSV)
 SIMULATE_GOLDEN = {
@@ -65,6 +65,17 @@ VERIFY_GOLDEN = {
     ),
 }
 
+# suite -> sha256 of `verify --suite <suite>` stdout at default flags (100 trials, sizes 3:10, seed 0)
+VERIFY_DEFAULTS_GOLDEN = {
+    "conservation": "97f7092a7266cee3007e545a591c54fa7e244dbd314950e139c6ad012e2ad01a",
+    "lyapunov": "f530b18bbdece722eb63feae1e8f4664e4d7b07c251b02032d85f5b3f94954ee",
+    "triviality": "9df2dab19e3e2b2f6d785cd13d6a4399711f4025b8e785182fd1a2b86d1e11d7",
+    "hull": "7b512ca99464690ed45f71a8bb3d2fea5b8820beac09e7c8f26c9ab07393b6b6",
+    "equivalence": "3dc1863658084c999d54279e644c218303ad26f2dde203f3904b33dd5cd60aed",
+    "cheeger": "b6aa8d3a9d134c0ca3ddfd74fbad005bcd395e4f1a21add7123061faa48dec3e",
+    "displacement": "2ed8dce35e212f9b0c972b501525d170dd8213fc5201e9a87f80a7b29b6b7fac",
+}
+
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -93,6 +104,14 @@ class TestGoldenBytes(unittest.TestCase):
         for name, (argv, digest) in VERIFY_GOLDEN.items():
             with self.subTest(name):
                 code, out = run_main(argv)
+                self.assertEqual(code, 0)
+                self.assertEqual(sha256(out.encode()), digest)
+
+    def test_verify_every_suite_at_default_flags(self):
+        self.assertEqual(tuple(VERIFY_DEFAULTS_GOLDEN), VERIFY_SUITES)
+        for suite, digest in VERIFY_DEFAULTS_GOLDEN.items():
+            with self.subTest(suite):
+                code, out = run_main(["verify", "--suite", suite])
                 self.assertEqual(code, 0)
                 self.assertEqual(sha256(out.encode()), digest)
 
