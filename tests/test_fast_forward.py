@@ -23,7 +23,7 @@ import warnings
 from itertools import islice
 from unittest import mock
 
-from garbagegame import analysis, cli, dynamics
+from garbagegame import analysis, cli, dynamics, spectral
 from garbagegame.analysis import _lyapunov_steps, convergence_report, lyapunov_record, lyapunov_z
 from garbagegame.cli import trajectory_csv, validate_trajectory
 from garbagegame.dynamics import GarbageState, StepDiagnostics, Threshold, Trajectory, effective_edges, run, step
@@ -385,6 +385,24 @@ class TestCertificatePasses(unittest.TestCase):
                 lyapunov_record(g, s, threshold)
             self.assertEqual(len(passes), 1)
             self.assertIs(passes[0], s.values)
+
+    def test_verify_suites_read_the_walk(self):
+        # per trial: (_next_values passes, _active passes) of a suite whose states come off _orbit,
+        # k states for k - 1 steps; equivalence's reference forms, transition_matrix and
+        # effective_edges, take one _active each for each of its 6 steps
+        want = {"conservation": (25, 26), "hull": (25, 26), "triviality": (25, 26), "lyapunov": (26, 27),
+                "equivalence": (6, 7 + 12)}
+        for suite, counts in want.items():
+            for trial in range(4):
+                with contextlib.ExitStack() as stack:
+                    active, kernel = (stack.enter_context(mock.patch.object(dynamics, name, wraps=real))
+                                      for name, real in (("_active", dynamics._active),
+                                                         ("_next_values", dynamics._next_values)))
+                    steps = [stack.enter_context(mock.patch.object(module, "step", wraps=dynamics.step))
+                             for module in (dynamics, analysis, cli, spectral)]
+                    cli._SUITE_FUNCS[suite](Xoshiro256StarStar(derive_seed(0, trial)), 3, 10)
+                self.assertEqual((kernel.call_count, active.call_count), counts, msg=f"{suite} trial {trial}")
+                self.assertEqual([spy.call_count for spy in steps], [0] * 4, msg=f"{suite} trial {trial}")
 
 
 class TestCompressedTrajectory(unittest.TestCase):
