@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 from itertools import islice, pairwise
@@ -24,7 +25,6 @@ from .analysis import (
     _lyapunov_steps,
     _SummaryFold,
     conservation_violation,
-    convergence_report,
     hull_bounds,
     hull_violation,
     is_trivial,
@@ -58,11 +58,6 @@ class CliError(Exception):
 # deterministic serialization
 
 
-def format_float(x: float) -> str:
-    """17 significant digits; round-trip exact for float64."""
-    return _FLOAT_FORMAT % x
-
-
 def to_json(value: Any) -> str:
     """Deterministic JSON with float64-exact number formatting."""
     if value is None:
@@ -76,7 +71,7 @@ def to_json(value: Any) -> str:
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
-        return format_float(value)
+        return _FLOAT_FORMAT % value
     if isinstance(value, dict):
         items = ", ".join(f"{json.dumps(str(k))}: {to_json(v)}" for k, v in value.items())
         return "{" + items + "}"
@@ -181,10 +176,11 @@ def _random_instance(rng: Xoshiro256StarStar, lo: int, hi: int) -> tuple[Graph, 
     return g, s, eps
 
 
-def _suite_conservation(rng, lo, hi) -> list[str]:
+def _suite_steps(check, rng, lo, hi) -> list[str]:
+    """The message of check(a, b) for each step of a 25-step run that fails it."""
     g, s, eps = _random_instance(rng, lo, hi)
     walk = islice(_orbit(g, s, eps), _RUN_STATES)
-    return [m for (a, *_), (b, *_) in pairwise(walk) if (m := conservation_violation(a, b))]
+    return [m for (a, *_), (b, *_) in pairwise(walk) if (m := check(a, b))]
 
 
 def _suite_lyapunov(rng, lo, hi) -> list[str]:
@@ -208,12 +204,6 @@ def _suite_triviality(rng, lo, hi) -> list[str]:
         if a.max_pairwise_diff() <= eps.epsilon and m_b != g.edge_count:
             out.append(f"active graph shrank after threshold-trivial state at t={a.time}")
     return out
-
-
-def _suite_hull(rng, lo, hi) -> list[str]:
-    g, s, eps = _random_instance(rng, lo, hi)
-    walk = islice(_orbit(g, s, eps), _RUN_STATES)
-    return [m for (a, *_), (b, *_) in pairwise(walk) if (m := hull_violation(a, b))]
 
 
 def _suite_equivalence(rng, lo, hi) -> list[str]:
@@ -259,10 +249,10 @@ def _suite_displacement(rng, lo, hi) -> list[str]:
 
 
 _SUITE_FUNCS: dict[str, Callable[[Xoshiro256StarStar, int, int], list[str]]] = {
-    "conservation": _suite_conservation,
+    "conservation": functools.partial(_suite_steps, conservation_violation),
     "lyapunov": _suite_lyapunov,
     "triviality": _suite_triviality,
-    "hull": _suite_hull,
+    "hull": functools.partial(_suite_steps, hull_violation),
     "equivalence": _suite_equivalence,
     "cheeger": _suite_cheeger,
     "displacement": _suite_displacement,

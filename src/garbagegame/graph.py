@@ -245,17 +245,6 @@ def random_connected_graph(order: int, rng: Xoshiro256StarStar, extra_edge_prob:
     return Graph(order, np.concatenate((tree, _pairs_below(order, rng, extra_edge_prob))))
 
 
-def random_connected_nonstar_graph(order: int, rng: Xoshiro256StarStar) -> Graph:
-    """Connected non-star instance; resamples until the star shape is avoided."""
-    if order < 3:
-        raise ValueError("non-star instances need at least 3 vertices")
-    for _ in range(1000):
-        g = random_connected_graph(order, rng)
-        if not is_star(g):
-            return g
-    raise RuntimeError("failed to sample a non-star graph")  # pragma: no cover
-
-
 def connected_components(n: int, edges: Iterable[tuple[int, int]]) -> list[frozenset[int]]:
     """Connected components of the graph on 1..n with the given edges, in order
     of their smallest vertex; isolated vertices are singletons."""

@@ -14,7 +14,7 @@ from typing import Iterator, TextIO
 
 from .dynamics import GarbageState
 
-_FLOAT_FORMAT = "%.17g"  # every number in emitted files: cli.format_float and the CSV rows
+_FLOAT_FORMAT = "%.17g"  # every number in emitted files: cli.to_json and the CSV rows
 
 
 class _CsvRows:

@@ -34,9 +34,9 @@ from garbagegame.dynamics import (
 from garbagegame.graph import (
     Graph,
     generate_graph,
+    is_star,
     laplacian,
     random_connected_graph,
-    random_connected_nonstar_graph,
 )
 from garbagegame.rng import Xoshiro256StarStar, derive_seed
 
@@ -45,6 +45,17 @@ from fresh_python import run_python
 SEED = 20260814
 
 _criterion1_cache = None
+
+
+def random_connected_nonstar_graph(order: int, rng: Xoshiro256StarStar) -> Graph:
+    """Connected non-star instance; resamples until the star shape is avoided."""
+    if order < 3:
+        raise ValueError("non-star instances need at least 3 vertices")
+    for _ in range(1000):
+        g = random_connected_graph(order, rng)
+        if not is_star(g):
+            return g
+    raise RuntimeError("failed to sample a non-star graph")  # pragma: no cover
 
 
 def criterion1_runs():

@@ -11,9 +11,12 @@ import unittest
 import warnings
 from unittest import mock
 
-from garbagegame.cli import CliError, main, run_verify, to_json, trajectory_csv, validate_trajectory
-from garbagegame.dynamics import GarbageState, Threshold, run, step
-from garbagegame.graph import generate_graph, render_edge_list
+from garbagegame.analysis import _lyapunov_steps
+from garbagegame.cli import VERIFY_SUITES, CliError, main, run_verify, to_json, trajectory_csv, validate_trajectory
+from garbagegame.dynamics import GarbageState, Threshold, _orbit, run, step, transition_matrix
+from garbagegame.graph import generate_graph, laplacian, render_edge_list
+from garbagegame.rng import derive_seed
+from garbagegame.spectral import cheeger_check, nontrivial_displacement_bound
 
 from fresh_python import run_python
 
@@ -173,6 +176,16 @@ class TestSimulate(unittest.TestCase):
                                 "--init", "1,2", "--epsilon", "inf"])
         self.assertEqual(code, 1)
         self.assertIn("3 vertices", err)
+        code, _, err = run_cli(["simulate", "--generate", "path:3",
+                                "--init", "1,x,3", "--epsilon", "inf"])
+        self.assertEqual((code, err), (1, "error: bad --init list '1,x,3'\n"))
+        for spec, message in (("uniform:0", "--init-random expects uniform:<lo>:<hi>"),
+                              ("normal:0:1", "--init-random expects uniform:<lo>:<hi>"),
+                              ("uniform:a:1", "bad --init-random bounds in 'uniform:a:1'"),
+                              ("uniform:5:1", "uniform bounds must satisfy 0 <= lo <= hi, got 5.0:1.0")):
+            code, _, err = run_cli(["simulate", "--generate", "path:3",
+                                    "--init-random", spec, "--epsilon", "inf"])
+            self.assertEqual((code, err), (1, f"error: {message}\n"), msg=spec)
 
     def test_overflowing_step_fails_cleanly(self):
         code, out, err = run_cli(["simulate", "--generate", "path:3",
@@ -363,7 +376,74 @@ class TestValidate(unittest.TestCase):
             self.assertRegex(str(ctx.exception), want, msg=label)
 
 
+def scaled_walk(g, s, eps):
+    """The real walk with each state scaled by 1 + t: the total and the hull's top grow at every step."""
+    for state, *rest in _orbit(g, s, eps):
+        yield (GarbageState(state.values * (1 + state.time), time=state.time), *rest)
+
+
+def short_decrements(g, s, eps):
+    """The real records with each decrement one below its bound."""
+    for rec, nxt in _lyapunov_steps(g, s, eps):
+        yield dataclasses.replace(rec, decrement=rec.bound - 1.0), nxt
+
+
+# per suite: the patches of cli's callees that force violations, the message of each kind of
+# violation, and how many violations 2 trials at seed 0 and sizes 3:5 report
+FORCED_VIOLATIONS = {
+    "conservation": ({"_orbit": scaled_walk}, [r"conservation drift \S+ exceeds \S+ at t=\d+"], 50),
+    "lyapunov": ({"_lyapunov_steps": short_decrements}, [r"decrement \S+ below bound \S+ at t=\d+"], 52),
+    "triviality": (
+        # scaled, and with one social edge inactive after every step
+        {"_orbit": lambda g, s, eps: ((a, d, m - 1, deg) for a, d, m, deg in scaled_walk(g, s, eps))},
+        [r"delta-triviality lost at t=\d+ for delta=\S+", r"active graph shrank after threshold-trivial state at t=\d+"],
+        37,
+    ),
+    "hull": ({"_orbit": scaled_walk}, [r"hull grew at t=\d+: \[\S+,\S+\] -> \[\S+,\S+\]"], 50),
+    "equivalence": (
+        {"transition_matrix": lambda g, a, eps: 2.0 * transition_matrix(g, a, eps),
+         "laplacian": lambda g: 2.0 * laplacian(g)},
+        [r"matrix form disagrees with direct step at t=\d+", r"laplacian form disagrees with direct step at t=\d+",
+         r"column sums off by 1\.000e\+00 at t=\d+"],
+        36,
+    ),
+    "cheeger": (
+        {"cheeger_check": lambda g: dataclasses.replace(cheeger_check(g), sandwich_ok=False, lambda2_floor=float("inf"))},
+        [r"sandwich violated on n=\d+: lambda2=\S+ i=\S+", r"lambda2 \S+ not above floor inf"],
+        4,
+    ),
+    "displacement": (
+        {"nontrivial_displacement_bound": lambda *args: nontrivial_displacement_bound(*args)._replace(ok=False)},
+        [r"displacement \S+ not above bound \S+ on n=\d+"],
+        2,
+    ),
+}
+
+
 class TestVerify(unittest.TestCase):
+
+    def test_a_forced_violation_fails_the_report_and_the_exit_code(self):
+        self.assertEqual(tuple(FORCED_VIOLATIONS), VERIFY_SUITES)
+        for suite, (patches, patterns, count) in FORCED_VIOLATIONS.items():
+            with self.subTest(suite=suite), contextlib.ExitStack() as stack:
+                for name, fake in patches.items():
+                    stack.enter_context(mock.patch(f"garbagegame.cli.{name}", fake))
+                code, out, err = run_cli(["verify", "--suite", suite, "--trials", "2",
+                                          "--seed", "0", "--sizes", "3:5"])
+                self.assertEqual((code, err), (1, ""))
+                report = json.loads(out)
+                self.assertFalse(report["passed"])
+                violations = report["violations"]
+                self.assertEqual(len(violations), count)
+                kinds = set()
+                for v in violations:
+                    self.assertEqual(list(v), ["trial", "seed", "message"])
+                    self.assertIn(v["trial"], (0, 1))
+                    self.assertEqual(v["seed"], derive_seed(0, v["trial"]))
+                    kind = [i for i, p in enumerate(patterns) if re.fullmatch(p, v["message"])]
+                    self.assertEqual(len(kind), 1, msg=v["message"])
+                    kinds.update(kind)
+                self.assertEqual(kinds, set(range(len(patterns))))
 
     def test_all_suites_pass(self):
         for suite in ("conservation", "lyapunov", "triviality", "hull",

@@ -77,6 +77,8 @@ class TestGarbageState(unittest.TestCase):
             GarbageState([1.0, math.inf])
         with self.assertRaises(ValueError):
             GarbageState([1.0, math.nan])
+        with self.assertRaisesRegex(ValueError, "^state must be a nonempty 1-D vector$"):
+            GarbageState([])
 
     def test_rejects_bad_time(self):
         with self.assertRaises(ValueError):

@@ -150,6 +150,12 @@ class TestParseEdgeList(unittest.TestCase):
     def test_missing_header(self):
         with self.assertRaises(GraphError):
             parse_edge_list("1 2\n2 3")
+        for text, message in (("# no graph\n\n", "missing header line 'n <count>'"),
+                              ("n x\n1 2", "line 1: vertex count 'x' is not an integer"),
+                              ("# c\nn 0\n", "line 2: vertex count must be positive, got 0")):
+            with self.assertRaises(GraphError, msg=text) as ctx:
+                parse_edge_list(text)
+            self.assertEqual(str(ctx.exception), message)
 
     def test_malformed_line(self):
         with self.assertRaisesRegex(GraphError, "line 2"):
@@ -206,6 +212,10 @@ class TestGenerateGraph(unittest.TestCase):
             generate_graph("erdos_renyi", 5, p=-0.1, seed=0)
         with self.assertRaises(GraphError):
             generate_graph("wheel", 5)
+        with self.assertRaisesRegex(GraphError, "^edge probability is only valid for erdos_renyi, not 'path'$"):
+            generate_graph("path", 4, p=0.5)
+        with self.assertRaisesRegex(GraphError, "^erdos_renyi requires an edge probability p$"):
+            generate_graph("erdos_renyi", 5)
 
     def test_rejects_bool_order(self):
         with self.assertRaisesRegex(GraphError, "order must be a positive integer"):

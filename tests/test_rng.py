@@ -65,6 +65,8 @@ class TestXoshiro(unittest.TestCase):
             self.assertTrue(0 <= k < 6)
             seen.add(k)
         self.assertEqual(seen, {0, 1, 2, 3, 4, 5})
+        with self.assertRaisesRegex(ValueError, "^k must be positive$"):
+            rng.randrange(0)
 
     def test_outputs_are_64_bit(self):
         rng = Xoshiro256StarStar(3)
