@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import dataclasses
+import gc
 import hashlib
 import io
 import json
@@ -18,7 +19,7 @@ from garbagegame.graph import generate_graph, laplacian, render_edge_list
 from garbagegame.rng import derive_seed
 from garbagegame.spectral import cheeger_check, nontrivial_displacement_bound
 
-from fresh_python import run_python
+from fresh_python import ROOT, run_python
 
 
 def run_cli(argv):
@@ -44,6 +45,86 @@ class TestFreshInterpreter(unittest.TestCase):
         proc = run_python("-c", "import numpy as np; np.float64(1e308) * 10")
         self.assertNotEqual(proc.returncode, 0)
         self.assertIn("RuntimeWarning: overflow", proc.stderr)
+
+
+# an interpreter imports sitecustomize from its path at start-up, before -m or -c runs
+FREEZE_HOOK = 'import atexit, gc, sys\natexit.register(lambda: print(f"frozen={gc.get_freeze_count() > 0}", file=sys.stderr))\n'
+
+
+class TestProcessEntry(unittest.TestCase):
+    """`python -m garbagegame` and the `garbagegame` script share __main__.run, which freezes the
+    import-time heap; main() called in-process touches no gc state.  run() is never called here."""
+
+    VERIFY = ["verify", "--suite", "hull", "--trials", "3", "--seed", "1"]
+
+    def run_hooked(self, *args):
+        with tempfile.TemporaryDirectory() as tmp:
+            with open(os.path.join(tmp, "sitecustomize.py"), "w", encoding="utf-8") as fh:
+                fh.write(FREEZE_HOOK)
+            with mock.patch.dict(os.environ, PYTHONPATH=tmp):
+                return run_python(*args)
+
+    def test_both_launches_freeze_before_exit_and_print_the_same(self):
+        # the installed script imports the [project.scripts] target and exits with what it returns
+        pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+        module, func = re.search(r'^garbagegame = "([\w.]+):(\w+)"$', pyproject, re.M).groups()
+        launches = {
+            "-m": (["-m", "garbagegame"], "frozen=True\n"),
+            "script": (["-c", f"import sys; from {module} import {func}; sys.exit({func}())"], "frozen=True\n"),
+            "main": (["-c", "import sys; from garbagegame.cli import main; sys.exit(main())"], "frozen=False\n"),
+        }
+        code, want, _ = run_cli(self.VERIFY)
+        self.assertEqual(code, 0)
+        for name, (launch, frozen) in launches.items():
+            proc = self.run_hooked(*launch, *self.VERIFY)
+            self.assertEqual((proc.returncode, proc.stdout, proc.stderr), (0, want, frozen), msg=name)
+
+    def test_exit_codes_through_the_entry(self):
+        for argv, code, stderr in (
+            (self.VERIFY, 0, ""),
+            (["simulate", "--generate", "nope:3", "--epsilon", "inf"], 1,
+             "error: unknown graph kind 'nope' in --generate spec\n"),
+            (["simulate", "--generate", "cycle:4"], 2,
+             "(?s)usage: .*: error: the following arguments are required: --epsilon\n"),
+            (["--help"], 0, ""),
+        ):
+            proc = run_fresh(argv)
+            self.assertEqual(proc.returncode, code, msg=argv)
+            self.assertIsNotNone(re.fullmatch(stderr, proc.stderr), msg=(argv, proc.stderr))
+
+    def test_main_in_process_leaves_the_collector_alone(self):
+        before = gc.get_freeze_count(), gc.isenabled()
+        self.assertEqual(run_cli(self.VERIFY)[0], 0)
+        self.assertEqual((gc.get_freeze_count(), gc.isenabled()), before)
+
+
+class TestNoExitCollectionNeeded(unittest.TestCase):
+    """Each subcommand through the entry, in a child with warnings as errors and dev mode, writes
+    nothing to stderr and the same bytes as in-process: no file or warning waits for the exit-time
+    collection that the frozen heap skips."""
+
+    def run_both(self, argv, child_argv=None):
+        """(exit code, stdout, stderr) of argv in-process, after asserting that the child's are the same."""
+        with mock.patch.dict(os.environ, PYTHONDEVMODE="1"):
+            proc = run_fresh(child_argv or argv)
+        got = run_cli(argv)
+        self.assertEqual((proc.returncode, proc.stdout, proc.stderr), got, msg=argv)
+        return got
+
+    def test_each_subcommand_matches_the_in_process_run(self):
+        for argv in (["verify", "--suite", "lyapunov", "--trials", "5", "--seed", "2"],
+                     ["spectral", "--generate", "erdos_renyi:8:0.5", "--seed", "4"]):
+            code, out, err = self.run_both(argv)
+            self.assertEqual((code, err), (0, ""), msg=argv)
+            self.assertTrue(out)
+        simulate = ["simulate", "--generate", "cycle:12", "--init-random", "uniform:0:100", "--epsilon", "10",
+                    "--max-steps", "400", "--seed", "3", "--validate"]
+        with tempfile.TemporaryDirectory() as tmp:
+            child, here = ([f"--out={tmp}/{side}.csv", f"--summary={tmp}/{side}.json"] for side in ("child", "main"))
+            self.assertEqual(self.run_both(simulate + here, simulate + child)[::2], (0, ""))
+            for ext in ("csv", "json"):
+                with open(os.path.join(tmp, f"child.{ext}"), "rb") as a, open(os.path.join(tmp, f"main.{ext}"), "rb") as b:
+                    self.assertEqual(a.read(), b.read(), msg=ext)
 
 
 class TestSimulate(unittest.TestCase):
