@@ -86,6 +86,7 @@ __all__ = [
     "hull_bounds",
     "is_connected",
     "is_star",
+    "is_trivial",
     "isoperimetric_number",
     "lambda2",
     "laplacian",

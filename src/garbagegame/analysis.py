@@ -65,9 +65,8 @@ def lyapunov_z(g: Graph, s: GarbageState, eps: "Threshold | float") -> float:
 def _decrement_bound(edge_count: int, deg: np.ndarray, x: np.ndarray, x_next: np.ndarray) -> float:
     """4 * sum_i (|E_t| - |N_i|) * (x_i - x_i')^2, summed in vertex order.  It
     saturates as _energy_terms' Z does: a term beyond the float64 range is inf,
-    and so is the bound, without an overflow warning."""
-    if edge_count == 0:
-        return 0.0
+    and so is the bound, without an overflow warning.  With no active edge,
+    x_next has x's bits and every degree is 0, so the sum is +0.0."""
     d = x - x_next
     with np.errstate(over="ignore"):
         return 4.0 * _ordered_sum((edge_count - deg) * d * d)

@@ -37,11 +37,10 @@ from .dynamics import (
     _energy_terms,
     _orbit,
     _Walk,
-    effective_edges,
     step,
     transition_matrix,
 )
-from .graph import Graph, generate_graph, is_connected, is_star, laplacian, parse_edge_list, random_connected_graph
+from .graph import Graph, generate_graph, is_connected, is_star, parse_edge_list, random_connected_graph
 from .output import _FLOAT_FORMAT, _CsvRows, _written_on_success
 from .rng import Xoshiro256StarStar, derive_seed
 from .spectral import ISOPERIMETRIC_MAX_ORDER, cheeger_check, nontrivial_displacement_bound
@@ -210,16 +209,9 @@ def _suite_equivalence(rng, lo, hi) -> list[str]:
     g, s, eps = _random_instance(rng, lo, hi)
     out = []
     for (a, *_), (b, *_) in pairwise(islice(_orbit(g, s, eps), 7)):  # the states of a 6-step run
-        direct = b.values
         A = transition_matrix(g, a, eps)
-        via_matrix = A @ a.values
-        if float(np.max(np.abs(via_matrix - direct))) > 1e-12:
+        if float(np.max(np.abs(A @ a.values - b.values))) > 1e-12:
             out.append(f"matrix form disagrees with direct step at t={a.time}")
-        topo = effective_edges(g, a, eps)
-        if topo.edge_count > 0:
-            via_laplacian = (np.eye(g.n) - laplacian(topo) / topo.edge_count) @ a.values
-            if float(np.max(np.abs(via_laplacian - direct))) > 1e-12:
-                out.append(f"laplacian form disagrees with direct step at t={a.time}")
         col_err = float(np.max(np.abs(A.sum(axis=0) - 1.0)))
         if col_err > 1e-12:
             out.append(f"column sums off by {col_err:.3e} at t={a.time}")

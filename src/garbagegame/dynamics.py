@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, laplacian
 
 
 @dataclass(frozen=True)
@@ -256,20 +256,13 @@ def effective_edges(g: Graph, s: GarbageState, eps: "Threshold | float") -> Grap
 
 
 def transition_matrix(g: Graph, s: GarbageState, eps: "Threshold | float") -> np.ndarray:
-    """Column-stochastic transition matrix of one step.
-
-    Off-diagonal entries are 1/|E_t| on active edges; the diagonal keeps the
-    remainder 1 - |N_i|/|E_t|.  With no active edges the matrix is the
-    identity.
-    """
-    _, mask, _, m = _active(g, s, as_threshold(eps).epsilon)
-    if m == 0:
+    """Column-stochastic transition matrix of one step, I - L_t/|E_t| with L_t the Laplacian of
+    effective_edges: 1/|E_t| on active edges, the remainder 1 - |N_i|/|E_t| on the diagonal, and
+    the identity when no edge is active."""
+    topo = effective_edges(g, s, eps)
+    if topo.edge_count == 0:
         return np.eye(g.n)
-    eu, ev = (ends[mask] for ends in g._ends)
-    A = np.diag(1.0 - np.bincount(np.concatenate((eu, ev)), minlength=g.n) / m)
-    A[eu, ev] = 1.0 / m
-    A[ev, eu] = 1.0 / m
-    return A
+    return np.eye(g.n) - laplacian(topo) / topo.edge_count
 
 
 def _next_values(

@@ -12,13 +12,16 @@ import math
 import tempfile
 import time
 import unittest
+from itertools import pairwise
 from pathlib import Path
 
 import numpy as np
 
 from garbagegame.analysis import (
+    conservation_violation,
     decrement_lower_bound,
     hull_bounds,
+    hull_violation,
     is_trivial,
     lyapunov_z,
     roundoff_slack,
@@ -104,6 +107,9 @@ class TestAcceptance(unittest.TestCase):
         for g, s0, trajs in runs:
             budget = 1e-12 * g.n * float(s0.values.max())
             for traj in trajs:
+                # each distinct step against its own state's budget, by the checker verify and --validate use
+                for a, b in pairwise(traj.states[: traj.distinct_length()]):
+                    self.assertIsNone(conservation_violation(a, b))
                 sums = traj.values_matrix().sum(axis=1)
                 drifts = np.abs(np.diff(sums))
                 steps += drifts.size
@@ -181,11 +187,7 @@ class TestAcceptance(unittest.TestCase):
                 (0.25 + rng.random()) * spread if spread > 0.0 else 1.0)
             for _ in range(20):
                 nxt = step(g, cur, eps)
-                lo_a, hi_a = hull_bounds(cur)
-                lo_b, hi_b = hull_bounds(nxt)
-                slack = roundoff_slack(hi_a)
-                self.assertGreaterEqual(lo_b, lo_a - slack)
-                self.assertLessEqual(hi_b, hi_a + slack)
+                self.assertIsNone(hull_violation(cur, nxt), msg=f"trial {trial}")
                 nested_steps += 1
                 cur = nxt
         print(f"criterion 4 (triviality preservation + hull nesting): PASS — "

@@ -106,6 +106,16 @@ class TestDecrementBound(unittest.TestCase):
         s = GarbageState([0.0, 3.0, 6.0])
         self.assertEqual(decrement_lower_bound(P3, s, Threshold(2.0)), 0.0)
 
+    def test_no_active_edge_gives_positive_zero(self):
+        # no branch for |E_t| = 0: x' has x's bits and every degree is 0, so each term is +0.0
+        for values in ([0.0, 3.0, 6.0], [1e308, 0.0, 1e308]):
+            s = GarbageState(values)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                bounds = decrement_lower_bound(P3, s, Threshold(2.0)), lyapunov_record(P3, s, Threshold(2.0)).bound
+            for bound in bounds:
+                self.assertEqual((bound, math.copysign(1.0, bound)), (0.0, 1.0), msg=values)
+
     def test_overflow_saturates_to_inf(self):
         # x - x' = (5e199, -1e200, 5e199) squares past the float64 range; the
         # bound is inf, with no overflow warning, as Z is

@@ -388,10 +388,10 @@ class TestCertificatePasses(unittest.TestCase):
 
     def test_verify_suites_read_the_walk(self):
         # per trial: (_next_values passes, _active passes) of a suite whose states come off _orbit,
-        # k states for k - 1 steps; equivalence's reference forms, transition_matrix and
-        # effective_edges, take one _active each for each of its 6 steps
+        # k states for k - 1 steps; equivalence's reference form, transition_matrix, takes one
+        # _active (in effective_edges) for each of its 6 steps
         want = {"conservation": (25, 26), "hull": (25, 26), "triviality": (25, 26), "lyapunov": (26, 27),
-                "equivalence": (6, 7 + 12)}
+                "equivalence": (6, 7 + 6)}
         for suite, counts in want.items():
             for trial in range(4):
                 with contextlib.ExitStack() as stack:

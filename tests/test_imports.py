@@ -39,6 +39,14 @@ class TestImportsAreUsed(unittest.TestCase):
             unused = [f"{name} (line {line})" for name, line in imported_names(tree).items() if name not in used]
             self.assertEqual(unused, [], msg=path.name)
 
+    def test_the_package_exports_what_it_imports(self):
+        # from garbagegame import * must bind every name __init__ imports, and only those
+        tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+        (exported,) = [ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+                       and [getattr(t, "id", None) for t in node.targets] == ["__all__"]]
+        self.assertEqual(len(exported), len(set(exported)))
+        self.assertEqual(set(exported), set(imported_names(tree)))
+
     def test_a_quoted_annotation_counts_and_a_docstring_does_not(self):
         tree = ast.parse('from m import A, B, C\n\ndef f(x: "A | float") -> "list[B]":\n    """C"""\n')
         self.assertEqual(used_names(tree), {"A", "B", "float", "list"})

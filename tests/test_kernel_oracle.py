@@ -16,7 +16,16 @@ import numpy as np
 from garbagegame import dynamics
 from garbagegame.analysis import _lyapunov_steps, decrement_lower_bound, lyapunov_record, lyapunov_z
 from garbagegame.cli import random_uniform_state
-from garbagegame.dynamics import GarbageState, Threshold, _active, _next_values, effective_edges, run, step
+from garbagegame.dynamics import (
+    GarbageState,
+    Threshold,
+    _active,
+    _next_values,
+    effective_edges,
+    run,
+    step,
+    transition_matrix,
+)
 from garbagegame.graph import Graph, connected_components, generate_graph, laplacian, random_connected_graph
 from garbagegame.rng import Xoshiro256StarStar, derive_seed
 
@@ -109,6 +118,20 @@ def ref_active_topology(g, s, threshold):
         "laplacian": laplacian(Graph(g.n, active_edges)),
         "components": connected_components(g.n, active_edges),
     }
+
+
+def ref_transition_matrix(g, s, threshold):
+    """The builder transition_matrix had before it became I - L_t/|E_t| over effective_edges:
+    its own masked endpoint arrays, bincount degrees on the diagonal, and 1/|E_t| assigned
+    both ways along each active edge."""
+    _, mask, _, m = _active(g, s, threshold)
+    if m == 0:
+        return np.eye(g.n)
+    eu, ev = (ends[mask] for ends in g._ends)
+    A = np.diag(1.0 - np.bincount(np.concatenate((eu, ev)), minlength=g.n) / m)
+    A[eu, ev] = 1.0 / m
+    A[ev, eu] = 1.0 / m
+    return A
 
 
 def instances(seed, count):
@@ -253,6 +276,23 @@ class TestKernelMatchesLoops(unittest.TestCase):
         self.assertEqual(mask.tolist(), [True, False, True, True, False])
         self.assertEqual(len(sums[1]), 2)  # the masked amounts, then the active degrees
         self.assertEqual(sums[1][0].tolist(), [0.0, 0.0, 1.0, 2.0, 0.0, 1.0, 0.0, 2.0, 3.0, 0.0])
+
+    def test_transition_matrix_is_bitwise_equal(self):
+        # I - L_t/|E_t| of effective_edges against the masked builder it replaced: each entry is
+        # 1 - deg/m, 0 - (-1/m) or 0 - 0, one IEEE operation as before
+        seen = set()
+        for k, (g, x, eps) in enumerate(instances(derive_seed(4045, 0), 400)):
+            for s in (*run(g, GarbageState(x), Threshold(eps), max_steps=3).states, GarbageState([0.0] * g.n)):
+                msg = f"instance {k}, t={s.time}: n={g.n} edges={g.edge_count} eps={eps!r} x={s.values.tolist()}"
+                got, want = transition_matrix(g, s, Threshold(eps)), ref_transition_matrix(g, s, eps)
+                self.assertEqual((got.dtype, got.shape), (want.dtype, want.shape), msg=msg)
+                self.assertEqual(got.tobytes(), want.tobytes(), msg=msg)
+                values = s.values.tolist()
+                diffs = [abs(values[u - 1] - values[v - 1]) for u, v in g.edge_list]
+                seen |= {("n", g.n), ("inf", math.isinf(eps)), ("zero state", not any(values)), ("tie", eps in diffs)}
+                seen.add(("edges, none active", bool(diffs) and not any(d <= eps for d in diffs)))
+        for case in (("n", 1), ("inf", True), ("zero state", True), ("edges, none active", True), ("tie", True)):
+            self.assertIn(case, seen)
 
     def test_tie_is_active(self):
         g = generate_graph("path", 3)
