@@ -58,17 +58,7 @@ class CliError(Exception):
 
 
 def to_json(value: Any) -> str:
-    """Deterministic JSON with float64-exact number formatting."""
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, int):
-        return str(value)
+    """Deterministic JSON with float64-exact number formatting; json.dumps writes the rest."""
     if isinstance(value, float):
         return _FLOAT_FORMAT % value
     if isinstance(value, dict):
@@ -76,7 +66,7 @@ def to_json(value: Any) -> str:
         return "{" + items + "}"
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(to_json(v) for v in value) + "]"
-    raise TypeError(f"cannot serialize {type(value).__name__}")
+    return json.dumps(value)
 
 
 def trajectory_csv(traj: Trajectory) -> str:

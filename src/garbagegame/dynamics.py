@@ -38,12 +38,9 @@ class Threshold:
 
     @classmethod
     def parse(cls, text: str) -> "Threshold":
-        """Parse a CLI token: 'inf' (or 'infinity') or a positive real."""
-        token = text.strip().lower()
-        if token in ("inf", "infinity"):
-            return cls.infinite()
+        """Parse a CLI token: any spelling float() reads of a positive real or +infinity."""
         try:
-            return cls(float(token))
+            return cls(float(text))
         except ValueError:
             raise ValueError(f"invalid threshold {text!r}: expected a positive real or 'inf'") from None
 
@@ -390,6 +387,6 @@ def run(
         states.append(s)
         diags.append(StepDiagnostics(_energy_terms(g, d, threshold)[1], m, spread))
     if walk.period:
-        states = PeriodicList(states, walk.period, max_steps + 1, GarbageState._retimed)
-        diags = PeriodicList(diags, walk.period, max_steps + 1)
+        states = PeriodicList(states, walk.period, walk.steps_run + 1, GarbageState._retimed)
+        diags = PeriodicList(diags, walk.period, walk.steps_run + 1)
     return Trajectory(graph=g, threshold=threshold, states=states, diagnostics=diags, converged=walk.converged)

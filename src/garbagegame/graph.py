@@ -237,12 +237,12 @@ def _pairs_below(order: int, rng: Xoshiro256StarStar, p: float) -> np.ndarray:
     return np.column_stack((u, v))
 
 
-def random_connected_graph(order: int, rng: Xoshiro256StarStar, extra_edge_prob: float = 0.3) -> Graph:
+def random_connected_graph(order: int, rng: Xoshiro256StarStar) -> Graph:
     """Random connected graph: a random recursive tree plus independent extra
-    edges with the given probability."""
+    edges, each pair with probability 0.3."""
     parents = np.array([1 + rng.randrange(v - 1) for v in range(2, order + 1)], dtype=np.intp)
     tree = np.column_stack((parents, np.arange(2, order + 1)))
-    return Graph(order, np.concatenate((tree, _pairs_below(order, rng, extra_edge_prob))))
+    return Graph(order, np.concatenate((tree, _pairs_below(order, rng, 0.3))))
 
 
 def connected_components(n: int, edges: Iterable[tuple[int, int]]) -> list[frozenset[int]]:

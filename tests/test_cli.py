@@ -12,6 +12,8 @@ import unittest
 import warnings
 from unittest import mock
 
+import numpy as np
+
 from garbagegame.analysis import _lyapunov_steps
 from garbagegame.cli import VERIFY_SUITES, CliError, main, run_verify, to_json, trajectory_csv, validate_trajectory
 from garbagegame.dynamics import GarbageState, Threshold, _orbit, run, step, transition_matrix
@@ -613,6 +615,25 @@ class TestSpectralCommand(unittest.TestCase):
         self.assertEqual(report["max_degree"], 5)
         self.assertTrue(report["sandwich_ok"])
 
+    def test_stdout_bytes(self):
+        # key order, ", " and ": " separators, %.17g numbers (integral floats without a point),
+        # lowercase booleans and one trailing newline; lambda2's last bits come from this
+        # machine's eigvalsh, so its text is taken from the in-process certificate
+        cases = [
+            (["--generate", "cycle:4"], generate_graph("cycle", 4),
+             '"isoperimetric": 1, "max_degree": 2, "sandwich_ok": true, "lambda2_floor": 0.03125'),
+            (["--generate", "star:6"], generate_graph("star", 6),
+             '"isoperimetric": 1, "max_degree": 5, "sandwich_ok": true, "lambda2_floor": 0.0092592592592592587'),
+            (["--generate", "erdos_renyi:12:0.4", "--seed", "3"],
+             generate_graph("erdos_renyi", 12, 0.4, seed=derive_seed(3, 0)),
+             '"isoperimetric": 1.5, "max_degree": 7, "sandwich_ok": true, "lambda2_floor": 0.0011574074074074073'),
+        ]
+        for argv, g, rest in cases:
+            code, out, err = run_cli(["spectral", *argv])
+            self.assertEqual((code, err), (0, ""), msg=argv)
+            lambda2 = "%.17g" % cheeger_check(g).lambda2
+            self.assertEqual(out, f'{{"lambda2": {lambda2}, {rest}}}\n', msg=argv)
+
     def test_disconnected_rejected(self):
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "g.edges")
@@ -644,6 +665,15 @@ class TestSerialization(unittest.TestCase):
         self.assertEqual(to_json({"a": None, "b": True, "c": [1, 2.5]}),
                          '{"a": null, "b": true, "c": [1, 2.5]}')
         self.assertEqual(to_json("inf"), '"inf"')
+        # JSON literals, a big int, escapes, -0.0, the least subnormal and a numpy float, nested
+        probe = {"a": [None, True, False, 0, -5, 2**70, 'é"', [0.1, -0.0, 5e-324, np.float64(1.5)]], "n": {}}
+        self.assertEqual(to_json(probe),
+                         '{"a": [null, true, false, 0, -5, 1180591620717411303424, "\\u00e9\\"", '
+                         '[0.10000000000000001, -0, 4.9406564584124654e-324, 1.5]], "n": {}}')
+        self.assertEqual(to_json(("x", (1, 2.0), [])), '["x", [1, 2], []]')
+        for value in ({1}, np.int64(1), object()):
+            with self.assertRaises(TypeError, msg=repr(value)):
+                to_json(value)
 
     def test_trajectory_csv_shape(self):
         g = generate_graph("cycle", 4)

@@ -58,6 +58,16 @@ class TestThreshold(unittest.TestCase):
             Threshold.parse("banana")
         with self.assertRaises(ValueError):
             Threshold.parse("-3")
+        # every spelling float() reads: any case, a sign, surrounding blanks, underscores
+        for token in (" inf", "INF", "+Infinity ", "\tinf\n", "+inf"):
+            self.assertTrue(Threshold.parse(token).is_infinite, msg=repr(token))
+        self.assertEqual(Threshold.parse("1_000").epsilon, 1000.0)
+        for token in ("", "infinite", "nan", "-inf", "0", "1e-400", "0x10"):
+            with self.assertRaises(ValueError, msg=repr(token)):
+                Threshold.parse(token)
+        with self.assertRaises(ValueError) as ctx:
+            Threshold.parse("-inf")
+        self.assertEqual(str(ctx.exception), "invalid threshold '-inf': expected a positive real or 'inf'")
 
 
 class TestGarbageState(unittest.TestCase):

@@ -86,14 +86,14 @@ def ref_erdos_renyi(order, p, seed):
     return Graph(order, frozenset(edges))
 
 
-def ref_random_connected_graph(order, rng, extra_edge_prob=0.3):
+def ref_random_connected_graph(order, rng):
     edges = set()
     for v in range(2, order + 1):
         parent = 1 + rng.randrange(v - 1)
         edges.add((parent, v))
     for u in range(1, order + 1):
         for v in range(u + 1, order + 1):
-            if rng.random() < extra_edge_prob:
+            if rng.random() < 0.3:
                 edges.add((u, v))
     return Graph(order, frozenset(edges))
 
@@ -128,14 +128,13 @@ class TestRandomConnectedGraph(unittest.TestCase):
 
     def test_matches_pair_loop_and_stream_position(self):
         for order in range(3, 81):
-            for prob in (0.3, 0.05):
-                seed = derive_seed(2024, order)
-                a, b = Xoshiro256StarStar(seed), Xoshiro256StarStar(seed)
-                got = random_connected_graph(order, a, prob)
-                want = ref_random_connected_graph(order, b, prob)
-                self.assertEqual(got.edges, want.edges, msg=(order, prob))
-                self.assertEqual([a.next_uint64() for _ in range(4)],
-                                 [b.next_uint64() for _ in range(4)], msg=(order, prob))
+            seed = derive_seed(2024, order)
+            a, b = Xoshiro256StarStar(seed), Xoshiro256StarStar(seed)
+            got = random_connected_graph(order, a)
+            want = ref_random_connected_graph(order, b)
+            self.assertEqual(got.edges, want.edges, msg=order)
+            self.assertEqual([a.next_uint64() for _ in range(4)],
+                             [b.next_uint64() for _ in range(4)], msg=order)
 
 
 class TestGraphMatchesTupleBuild(unittest.TestCase):

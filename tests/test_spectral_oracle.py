@@ -9,11 +9,18 @@ float bit for bit (``float.hex`` equality), not merely within a tolerance:
 import tracemalloc
 import unittest
 
-from garbagegame.graph import Graph, generate_graph, random_connected_graph
+from garbagegame.graph import Graph, generate_graph
 from garbagegame.rng import Xoshiro256StarStar, derive_seed
 from garbagegame.spectral import isoperimetric_number
 
 ORACLE_MAX_ORDER = 16  # the loop takes ~40 ms at n = 16 and doubles per vertex
+
+
+def seeded_connected_graph(n, rng, prob):
+    """A random recursive tree plus each vertex pair with probability prob, drawn as
+    graph.random_connected_graph draws them (which fixes prob at 0.3)."""
+    tree = [(1 + rng.randrange(v - 1), v) for v in range(2, n + 1)]
+    return Graph(n, tree + [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if rng.random() < prob])
 
 
 def ref_isoperimetric_number(g):
@@ -62,7 +69,7 @@ class TestRecurrenceMatchesLoop(unittest.TestCase):
         for n in range(2, ORACLE_MAX_ORDER + 1):
             for k, prob in enumerate((0.05, 0.3, 0.6, 0.9)):
                 rng = Xoshiro256StarStar(derive_seed(6060, 100 * n + k))
-                g = random_connected_graph(n, rng, prob)
+                g = seeded_connected_graph(n, rng, prob)
                 self.assert_same_bits(g, f"n={n} prob={prob} edges={g.edge_count}")
 
     def test_disconnected_inputs_are_zero(self):
