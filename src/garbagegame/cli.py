@@ -40,7 +40,7 @@ from .dynamics import (
     step,
     transition_matrix,
 )
-from .graph import Graph, generate_graph, is_connected, is_star, parse_edge_list, random_connected_graph
+from .graph import GRAPH_KINDS, Graph, generate_graph, is_connected, is_star, parse_edge_list, random_connected_graph
 from .output import _FLOAT_FORMAT, _CsvRows, _written_on_success
 from .rng import Xoshiro256StarStar, derive_seed
 from .spectral import ISOPERIMETRIC_MAX_ORDER, cheeger_check, nontrivial_displacement_bound
@@ -88,20 +88,17 @@ def trajectory_csv(traj: Trajectory) -> str:
 
 def parse_generate_spec(spec: str, seed: int) -> Graph:
     """Parse a '--generate kind:params' token, e.g. cycle:4 or erdos_renyi:8:0.5."""
-    parts = spec.split(":")
-    kind = parts[0]
+    kind, *params = spec.split(":")
+    if kind not in GRAPH_KINDS:
+        raise CliError(f"unknown graph kind {kind!r} in --generate spec")
+    if kind == "erdos_renyi" and len(params) != 2:
+        raise CliError("--generate erdos_renyi takes two parameters: erdos_renyi:<order>:<p>")
+    if kind != "erdos_renyi" and len(params) != 1:
+        raise CliError(f"--generate {kind} takes exactly one parameter: {kind}:<order>")
     try:
-        if kind in ("path", "cycle", "star", "complete"):
-            if len(parts) != 2:
-                raise CliError(f"--generate {kind} takes exactly one parameter: {kind}:<order>")
-            return generate_graph(kind, int(parts[1]))
-        if kind == "erdos_renyi":
-            if len(parts) != 3:
-                raise CliError("--generate erdos_renyi takes two parameters: erdos_renyi:<order>:<p>")
-            return generate_graph(kind, int(parts[1]), p=float(parts[2]), seed=seed)
+        return generate_graph(kind, int(params[0]), *map(float, params[1:]), seed=seed)
     except ValueError as exc:
         raise CliError(f"bad --generate spec {spec!r}: {exc}") from None
-    raise CliError(f"unknown graph kind {kind!r} in --generate spec")
 
 
 def _load_graph(args: argparse.Namespace) -> Graph:
@@ -349,14 +346,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_spectral(args: argparse.Namespace) -> int:
-    g = _load_graph(args)
-    if g.n < 2:
-        raise CliError(f"graph too small: n = {g.n}; spectral certificates need at least 2 vertices")
-    if g.n > ISOPERIMETRIC_MAX_ORDER:
-        raise CliError(f"graph too large for exact certificates: n = {g.n} > {ISOPERIMETRIC_MAX_ORDER}")
-    if not is_connected(g):
-        raise CliError("graph is disconnected; spectral certificates need a connected graph")
-    report = cheeger_check(g)
+    report = cheeger_check(_load_graph(args))
     payload = {
         "lambda2": report.lambda2,
         "isoperimetric": report.isoperimetric,

@@ -245,18 +245,17 @@ def random_connected_graph(order: int, rng: Xoshiro256StarStar) -> Graph:
     return Graph(order, np.concatenate((tree, _pairs_below(order, rng, 0.3))))
 
 
-def connected_components(n: int, edges: Iterable[tuple[int, int]]) -> list[frozenset[int]]:
-    """Connected components of the graph on 1..n with the given edges, in order
-    of their smallest vertex; isolated vertices are singletons."""
-    root = list(range(n + 1))  # union by smaller root: a component's root is its smallest vertex
-    for u, v in edges:
+def connected_components(g: Graph) -> list[frozenset[int]]:
+    """Connected components of g in order of their smallest vertex; isolated vertices are singletons."""
+    root = list(range(g.n + 1))  # union by smaller root: a component's root is its smallest vertex
+    for u, v in g.edge_list:
         while root[u] != u:
             root[u] = u = root[root[u]]  # path halving
         while root[v] != v:
             root[v] = v = root[root[v]]
         root[max(u, v)] = min(u, v)
     members: dict[int, list[int]] = {}
-    for a in range(1, n + 1):
+    for a in range(1, g.n + 1):
         r = a
         while root[r] != r:
             r = root[r]
@@ -266,7 +265,7 @@ def connected_components(n: int, edges: Iterable[tuple[int, int]]) -> list[froze
 
 def is_connected(g: Graph) -> bool:
     """True iff every vertex pair is joined by a path; a single vertex counts."""
-    return len(connected_components(g.n, g.edge_list)) == 1
+    return len(connected_components(g)) == 1
 
 
 def is_star(g: Graph) -> bool:

@@ -14,6 +14,7 @@ from .dynamics import GarbageState, Threshold, _ordered_sum, as_threshold, effec
 from .graph import Graph, _vertex_ids, connected_components, is_connected, laplacian
 
 ISOPERIMETRIC_MAX_ORDER = 20  # 2^n uint8 boundaries filled by numpy, ~7 MB at n = 20
+_TOO_SMALL = "graph too small: n = {}; spectral certificates need at least 2 vertices"
 
 
 @dataclass(frozen=True)
@@ -42,7 +43,7 @@ def lambda2(g: Graph) -> float:
     Returns 0 for disconnected graphs; requires at least two vertices.
     """
     if g.n < 2:
-        raise ValueError("lambda2 requires at least 2 vertices")
+        raise ValueError(_TOO_SMALL.format(g.n))
     if not is_connected(g):
         return 0.0
     eigs = np.linalg.eigvalsh(laplacian(g).astype(np.float64))
@@ -60,9 +61,9 @@ def isoperimetric_number(g: Graph) -> float:
     """
     n = g.n
     if n < 2:
-        raise ValueError("isoperimetric number requires at least 2 vertices")
+        raise ValueError(_TOO_SMALL.format(n))
     if n > ISOPERIMETRIC_MAX_ORDER:
-        raise ValueError(f"subset enumeration budget exceeded: n = {n} > {ISOPERIMETRIC_MAX_ORDER}")
+        raise ValueError(f"graph too large for exact certificates: n = {n} > {ISOPERIMETRIC_MAX_ORDER}")
     lower = [0] * n  # neighbours u < v of each v, as a bit mask
     eu, ev = g._ends
     for u, v in zip(eu.tolist(), ev.tolist()):
@@ -88,12 +89,12 @@ def cheeger_check(g: Graph) -> SpectralReport:
     """Evaluate the two-sided bound 2*i(G) >= lambda2 >= i(G)^2 / (2*max_degree)
     together with the connectivity floor lambda2 > 2/n^3.
 
-    Requires a connected graph within the enumeration budget.
+    Accepts an order within the enumeration budget (checked first), then only a connected graph.
     """
-    if not is_connected(g):
-        raise ValueError("cheeger_check requires a connected graph")
-    lam = lambda2(g)
     iso = isoperimetric_number(g)
+    if not is_connected(g):
+        raise ValueError("graph is disconnected; spectral certificates need a connected graph")
+    lam = lambda2(g)
     max_deg = g.max_degree
     sandwich_ok = (2.0 * iso >= lam - 1e-9) and (lam >= iso * iso / (2.0 * max_deg) - 1e-9)
     return SpectralReport(
@@ -127,7 +128,7 @@ def nontrivial_displacement_bound(
         raise ValueError(f"delta must be positive, got {delta!r}")
     topo = effective_edges(g, s, threshold)
     comp = frozenset(_vertex_ids(component, g.n))
-    if comp not in connected_components(topo.n, topo.edge_list):
+    if comp not in connected_components(topo):
         raise ValueError("given vertex set is not a connected component of the active graph")
     rows = [v - 1 for v in sorted(comp)]
     vals = s.values[rows]

@@ -396,10 +396,30 @@ class TestSimulate(unittest.TestCase):
             self.assertEqual(summary["conservation_error"], 0)
 
     def test_bad_generate_spec(self):
-        for spec in ("blob:4", "cycle", "cycle:x", "erdos_renyi:5", "cycle:4:9"):
-            code, _, err = run_cli(["simulate", "--generate", spec,
-                                    "--init", "1,2,3,4", "--epsilon", "inf"])
-            self.assertEqual(code, 1, msg=spec)
+        one = "--generate {0} takes exactly one parameter: {0}:<order>"
+        two = "--generate erdos_renyi takes two parameters: erdos_renyi:<order>:<p>"
+        for spec, message in (
+            ("nope:3", "unknown graph kind 'nope' in --generate spec"),
+            ("blob:4", "unknown graph kind 'blob' in --generate spec"),
+            ("", "unknown graph kind '' in --generate spec"),
+            (":3", "unknown graph kind '' in --generate spec"),
+            ("PATH:3", "unknown graph kind 'PATH' in --generate spec"),
+            ("path", one.format("path")),
+            ("cycle", one.format("cycle")),
+            ("path:3:4", one.format("path")),
+            ("cycle:4:9", one.format("cycle")),
+            ("path:x", "bad --generate spec 'path:x': invalid literal for int() with base 10: 'x'"),
+            ("cycle:x", "bad --generate spec 'cycle:x': invalid literal for int() with base 10: 'x'"),
+            ("path:0", "bad --generate spec 'path:0': order must be a positive integer, got 0"),
+            ("star:2.5", "bad --generate spec 'star:2.5': invalid literal for int() with base 10: '2.5'"),
+            ("cycle:-1", "bad --generate spec 'cycle:-1': order must be a positive integer, got -1"),
+            ("erdos_renyi:5", two),
+            ("erdos_renyi:5:x", "bad --generate spec 'erdos_renyi:5:x': could not convert string to float: 'x'"),
+            ("erdos_renyi:5:2", "bad --generate spec 'erdos_renyi:5:2': edge probability must be in [0, 1], got 2.0"),
+            ("erdos_renyi:5:0.5:1", two),
+        ):
+            code, out, err = run_cli(["simulate", "--generate", spec, "--epsilon", "inf"])
+            self.assertEqual((code, out, err), (1, "", f"error: {message}\n"), msg=spec)
 
 
 class TestValidate(unittest.TestCase):
@@ -639,14 +659,16 @@ class TestSpectralCommand(unittest.TestCase):
             path = os.path.join(tmp, "g.edges")
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write("n 4\n1 2\n3 4\n")
-            code, _, err = run_cli(["spectral", "--graph", path])
-            self.assertEqual(code, 1)
-            self.assertIn("disconnected", err)
+            code, out, err = run_cli(["spectral", "--graph", path])
+            self.assertEqual((code, out), (1, ""))
+            self.assertEqual(err, "error: graph is disconnected; spectral certificates need a connected graph\n")
 
     def test_oversize_rejected(self):
-        code, _, err = run_cli(["spectral", "--generate", "cycle:21"])
-        self.assertEqual(code, 1)
-        self.assertIn("too large", err)
+        # erdos_renyi:21:0 is disconnected too: the order rule is checked first
+        for spec in ("cycle:21", "erdos_renyi:21:0"):
+            code, out, err = run_cli(["spectral", "--generate", spec])
+            self.assertEqual((code, out), (1, ""), msg=spec)
+            self.assertEqual(err, "error: graph too large for exact certificates: n = 21 > 20\n", msg=spec)
 
     def test_single_vertex_rejected(self):
         code, out, err = run_cli(["spectral", "--generate", "path:1"])

@@ -139,7 +139,7 @@ class TestEffectiveEdges(unittest.TestCase):
         # middle edge of P4 inactive: two two-vertex components
         g = generate_graph("path", 4)
         topo = effective_edges(g, GarbageState([0.0, 1.0, 10.0, 11.0]), Threshold(2.0))
-        self.assertEqual(sorted(connected_components(topo.n, topo.edge_list), key=min),
+        self.assertEqual(sorted(connected_components(topo), key=min),
                          [frozenset({1, 2}), frozenset({3, 4})])
 
     def test_length_mismatch(self):

@@ -1,4 +1,5 @@
 import itertools
+import random
 import unittest
 
 import numpy as np
@@ -7,6 +8,7 @@ from garbagegame.graph import (
     MAX_ORDER,
     Graph,
     GraphError,
+    connected_components,
     generate_graph,
     is_connected,
     is_star,
@@ -235,6 +237,33 @@ class TestStructureQueries(unittest.TestCase):
         self.assertTrue(is_connected(generate_graph("star", 6)))
         self.assertTrue(is_connected(Graph(1)))
         self.assertFalse(is_connected(Graph(4, frozenset({(1, 2), (3, 4)}))))
+
+    def test_connected_components_match_breadth_first_search(self):
+        def bfs_components(n, edges):  # in order of their smallest vertex
+            adjacent = {v: set() for v in range(1, n + 1)}
+            for u, v in edges:
+                adjacent[u].add(v)
+                adjacent[v].add(u)
+            components = []
+            for start in range(1, n + 1):
+                if all(start not in c for c in components):
+                    reached, frontier = {start}, [start]
+                    while frontier:
+                        frontier = [w for v in frontier for w in adjacent[v] if w not in reached]
+                        reached.update(frontier)
+                    components.append(frozenset(reached))
+            return components
+
+        rng = random.Random(20)
+        for case in range(2000):
+            n = rng.randint(1, 12)
+            if case % 2:  # a path through some vertices in shuffled order, its edges listed from the far end
+                walk = rng.sample(range(1, n + 1), rng.randint(1, n))
+                edges = list(zip(walk[:0:-1], walk[-2::-1]))
+            else:  # random pairs in either order; unpicked vertices stay isolated
+                edges = [tuple(rng.sample(range(1, n + 1), 2)) for _ in range(rng.randint(0, 2 * n))] if n > 1 else []
+            edges += rng.choices(edges, k=len(edges) // 3)  # repeated pairs
+            self.assertEqual(connected_components(Graph(n, edges)), bfs_components(n, edges), msg=(n, edges))
 
     def test_is_star(self):
         self.assertTrue(is_star(generate_graph("star", 6)))

@@ -1,6 +1,7 @@
-"""Every name a package module imports at module level is used in that module:
-read as a Name in its code or inside a quoted annotation such as
-"Threshold | float".  A mention in a docstring or comment does not count.
+"""Every name a package module, test module or demo imports at module level
+is used in that module: read as a Name in its code or inside a quoted
+annotation such as "Threshold | float".  A mention in a docstring or comment
+does not count.
 
 Every private name the package defines, a module-level function, class or
 constant whose name starts with one underscore, or such a method of a
@@ -11,7 +12,8 @@ import ast
 import unittest
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "garbagegame"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "garbagegame"
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -68,12 +70,14 @@ class TestImportsAreUsed(unittest.TestCase):
 
     def test_every_module_level_import_is_used(self):
         modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-        self.assertIn(PACKAGE / "cli.py", modules)
+        modules += sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+        for module in (PACKAGE / "cli.py", Path(__file__).resolve(), ROOT / "demos" / "threshold_oscillation.py"):
+            self.assertIn(module, modules)
         for path in modules:
             tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
             used = used_names(tree)
             unused = [f"{name} (line {line})" for name, line in imported_names(tree).items() if name not in used]
-            self.assertEqual(unused, [], msg=path.name)
+            self.assertEqual(unused, [], msg=str(path.relative_to(ROOT)))
 
     def test_the_package_exports_what_it_imports(self):
         # from garbagegame import * must bind every name __init__ imports, and only those

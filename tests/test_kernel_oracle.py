@@ -111,12 +111,13 @@ def ref_active_topology(g, s, threshold):
     flat = (src[on] + 1).tolist()  # active neighbors, grouped by vertex, each group ascending
     stops = np.cumsum(np.bincount(dst[on], minlength=g.n)).tolist()
     active_edges = frozenset(compress(g.edge_list, mask.tolist()))
+    active = Graph(g.n, active_edges)
     return {
         "active_edges": active_edges,
         "neighborhoods": tuple(tuple(flat[a:b]) for a, b in zip([0] + stops, stops)),
         "edge_count": int(np.count_nonzero(mask)),
-        "laplacian": laplacian(Graph(g.n, active_edges)),
-        "components": connected_components(g.n, active_edges),
+        "laplacian": laplacian(active),
+        "components": connected_components(active),
     }
 
 
@@ -345,7 +346,7 @@ class TestActiveSubgraphMatchesEagerBuild(unittest.TestCase):
                     self.assertEqual(topo.neighbors(v), want["neighborhoods"][v - 1], msg=msg)
                 self.assertEqual(topo.edge_count, want["edge_count"], msg=msg)
                 self.assertEqual(topo.degrees, tuple(map(len, want["neighborhoods"])), msg=msg)
-                self.assertEqual(connected_components(topo.n, topo.edge_list), want["components"], msg=msg)
+                self.assertEqual(connected_components(topo), want["components"], msg=msg)
                 L = laplacian(topo)
                 self.assertEqual(L.dtype, np.int64, msg=msg)
                 self.assertEqual(L.tobytes(), want["laplacian"].tobytes(), msg=msg)

@@ -5,7 +5,7 @@ import unittest
 import numpy as np
 
 from garbagegame.dynamics import GarbageState, Threshold
-from garbagegame.graph import Graph, generate_graph, is_connected, laplacian, random_connected_graph
+from garbagegame.graph import Graph, generate_graph, laplacian, random_connected_graph
 from garbagegame.rng import Xoshiro256StarStar, derive_seed
 from garbagegame.spectral import (
     ISOPERIMETRIC_MAX_ORDER,
@@ -137,6 +137,23 @@ class TestCheegerCheck(unittest.TestCase):
     def test_disconnected_rejected(self):
         with self.assertRaises(ValueError):
             cheeger_check(Graph(3, frozenset({(1, 2)})))
+
+    def test_rejections_name_the_rule(self):
+        # the texts the spectral command prints; the order rule is checked before connectivity
+        small = "^graph too small: n = 1; spectral certificates need at least 2 vertices$"
+        large = f"^graph too large for exact certificates: n = 21 > {ISOPERIMETRIC_MAX_ORDER}$"
+        for f, g, text in (
+            (cheeger_check, Graph(1), small),
+            (lambda2, Graph(1), small),
+            (isoperimetric_number, Graph(1), small),
+            (cheeger_check, generate_graph("cycle", 21), large),
+            (cheeger_check, Graph(21), large),
+            (isoperimetric_number, generate_graph("cycle", 21), large),
+            (cheeger_check, Graph(4, frozenset({(1, 2), (3, 4)})),
+             "^graph is disconnected; spectral certificates need a connected graph$"),
+        ):
+            with self.assertRaisesRegex(ValueError, text, msg=(f.__name__, g.n)):
+                f(g)
 
     def test_sandwich_families(self):
         for n in range(2, 13):
